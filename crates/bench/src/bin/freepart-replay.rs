@@ -23,7 +23,7 @@ use freepart_apps::drone::{self, DroneConfig};
 use freepart_attacks::payloads;
 use freepart_bench::{workspace_root, Table};
 use freepart_frameworks::registry::standard_registry;
-use freepart_simos::core::step;
+use freepart_simos::core::step_ref;
 use freepart_simos::replay::{audit, replay};
 use freepart_simos::{CommitLog, Effects, FaultKind, KernelState};
 
@@ -50,7 +50,8 @@ struct Scenario {
 }
 
 /// Raw pure-`step` throughput: folds the recorded log through a fresh
-/// [`KernelState`] `iters` times and reports (total steps, steps/sec).
+/// [`KernelState`] `iters` times, borrowing each op as replay does, and
+/// reports (total steps, steps/sec).
 fn step_throughput(log: &CommitLog, iters: u32) -> (u64, f64) {
     let mut fx = Effects::new();
     let mut total: u64 = 0;
@@ -59,7 +60,7 @@ fn step_throughput(log: &CommitLog, iters: u32) -> (u64, f64) {
         let mut state = KernelState::with_cost_model(log.genesis().clone());
         for rec in log.records() {
             fx.clear();
-            let _ = step(&mut state, rec.op.clone(), &mut fx);
+            let _ = step_ref(&mut state, &rec.op, &mut fx);
             total += 1;
         }
         std::hint::black_box(state.digest());

@@ -10,7 +10,7 @@
 
 use freepart_frameworks::api::ApiType;
 use freepart_frameworks::{ObjectId, ObjectStore};
-use freepart_simos::{Kernel, Perms, SimResult};
+use freepart_simos::{Addr, Kernel, Perms, Pid, ShmId, SimResult};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -109,6 +109,12 @@ impl StateMachine {
     /// frames, training loops). Initialization-defined objects are never
     /// re-entered and stay locked forever (the motivating example's
     /// `template`). Returns the number of objects newly protected.
+    ///
+    /// Each direction of the storm is one kernel op however many
+    /// buffer-resident objects it covers (shm-resident ones downgrade
+    /// their grants instead). The kernel's differential protect makes
+    /// pages already at the target permission free, so no host-side
+    /// pre-check is needed.
     pub fn observe(
         &mut self,
         t: ApiType,
@@ -128,38 +134,11 @@ impl StateMachine {
         }
         // Lock everything defined during the state we just left — only
         // that state's index set is walked, not every tracked object.
-        let mut newly = 0;
-        let ids: Vec<ObjectId> = self
-            .by_state
-            .get(&prev)
-            .map(|set| {
-                set.iter()
-                    .filter(|id| !self.protected.contains(id))
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default();
-        for id in ids {
-            if Self::lock_object(kernel, objects, id)? {
-                self.protected.insert(id);
-                newly += 1;
-            }
-        }
+        let leaving = self.tracked_in(prev, false);
+        let newly = self.move_objects(kernel, objects, &leaving, Perms::R)?;
         // Unlock objects owned by the state we are re-entering.
-        let reentered: Vec<ObjectId> = self
-            .by_state
-            .get(&next)
-            .map(|set| {
-                set.iter()
-                    .filter(|id| self.protected.contains(id))
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default();
-        for id in reentered {
-            Self::unlock_object(kernel, objects, id)?;
-            self.protected.remove(&id);
-        }
+        let reentered = self.tracked_in(next, true);
+        self.move_objects(kernel, objects, &reentered, Perms::RW)?;
         self.timeline.push((kernel.now_ns(), next, newly));
         Ok(newly)
     }
@@ -170,51 +149,69 @@ impl StateMachine {
         &self.timeline
     }
 
-    fn lock_object(kernel: &mut Kernel, objects: &ObjectStore, id: ObjectId) -> SimResult<bool> {
-        let Some(meta) = objects.meta(id) else {
-            return Ok(false);
-        };
-        // Shm-resident payloads are locked by downgrading every live
-        // grant to read-only — the segment itself is kernel-owned, so
-        // this works even while several processes hold mapped views.
-        if let Some((seg, _)) = meta.shm {
-            kernel.shm_protect_all(seg, Perms::R)?;
-            return Ok(true);
-        }
-        let Some((addr, len)) = meta.buffer else {
-            return Ok(false);
-        };
-        if !kernel.is_running(meta.home) {
-            return Ok(false);
-        }
-        // Differential re-protection: skip the kernel call (and its cost)
-        // entirely when every page is already read-only — e.g. a second
-        // thread's state machine locking shared host data another thread
-        // already locked, or a no-op transition delta.
-        if !kernel.perms_match(meta.home, addr, len, Perms::R) {
-            kernel.protect(meta.home, addr, len, Perms::R)?;
-        }
-        Ok(true)
+    /// Objects defined in `state` whose protected flag equals `locked`.
+    fn tracked_in(&self, state: FrameworkState, locked: bool) -> Vec<ObjectId> {
+        self.by_state
+            .get(&state)
+            .map(|set| {
+                set.iter()
+                    .filter(|id| self.protected.contains(id) == locked)
+                    .copied()
+                    .collect()
+            })
+            .unwrap_or_default()
     }
 
-    fn unlock_object(kernel: &mut Kernel, objects: &ObjectStore, id: ObjectId) -> SimResult<()> {
-        let Some(meta) = objects.meta(id) else {
-            return Ok(());
-        };
-        if let Some((seg, _)) = meta.shm {
-            kernel.shm_protect_all(seg, Perms::RW)?;
-            return Ok(());
+    /// Moves `ids` to `perms` — `R` locks, `RW` unlocks. Buffer-resident
+    /// objects share one range-list protect op; shm-resident ones go
+    /// through `shm_protect_all`. The protected set changes only after
+    /// the kernel op that backs it succeeded, so on an error it still
+    /// matches the kernel's permissions. Objects with nothing to protect
+    /// (no payload, or a dead home) are not locked, but unlocking always
+    /// drops them from the set. Returns the number of objects whose
+    /// payload was moved.
+    fn move_objects(
+        &mut self,
+        kernel: &mut Kernel,
+        objects: &ObjectStore,
+        ids: &[ObjectId],
+        perms: Perms,
+    ) -> SimResult<usize> {
+        let lock = perms == Perms::R;
+        let mut ranges = Vec::new();
+        let mut batched = Vec::new();
+        let mut moved = 0;
+        for &id in ids {
+            match Residency::of(kernel, objects, id) {
+                Some(Residency::Shm(seg)) => {
+                    kernel.shm_protect_all(seg, perms)?;
+                    self.track(id, lock);
+                    moved += 1;
+                }
+                Some(Residency::Buffer(pid, addr, len)) => {
+                    ranges.push((pid, addr, len));
+                    batched.push(id);
+                }
+                None if !lock => self.track(id, false),
+                None => {}
+            }
         }
-        let Some((addr, len)) = meta.buffer else {
-            return Ok(());
-        };
-        if !kernel.is_running(meta.home) {
-            return Ok(());
+        if !ranges.is_empty() {
+            kernel.protect_ranges(perms, ranges)?;
         }
-        if !kernel.perms_match(meta.home, addr, len, Perms::RW) {
-            kernel.protect(meta.home, addr, len, Perms::RW)?;
+        moved += batched.len();
+        for id in batched {
+            self.track(id, lock);
         }
-        Ok(())
+        Ok(moved)
+    }
+
+    fn track(&mut self, id: ObjectId, locked: bool) {
+        if locked {
+            self.protected.insert(id);
+        } else {
+            self.protected.remove(&id);
+        }
     }
 
     /// Re-applies protection to one object (after the runtime migrated
@@ -225,10 +222,16 @@ impl StateMachine {
         objects: &ObjectStore,
         id: ObjectId,
     ) -> SimResult<()> {
-        if self.is_protected(id) {
-            Self::lock_object(kernel, objects, id)?;
+        if !self.is_protected(id) {
+            return Ok(());
         }
-        Ok(())
+        match Residency::of(kernel, objects, id) {
+            Some(Residency::Shm(seg)) => kernel.shm_protect_all(seg, Perms::R).map(drop),
+            Some(Residency::Buffer(pid, addr, len)) => {
+                kernel.protect(pid, addr, len, Perms::R).map(drop)
+            }
+            None => Ok(()),
+        }
     }
 
     /// Forgets an object (destroyed).
@@ -242,11 +245,36 @@ impl StateMachine {
     }
 }
 
+/// Where an object's payload lives, for temporal protection.
+enum Residency {
+    /// A kernel-owned shared-memory segment: locked by downgrading every
+    /// live grant, which works even while several processes hold mapped
+    /// views.
+    Shm(ShmId),
+    /// A buffer `(home, addr, len)` in a running home process.
+    Buffer(Pid, Addr, u64),
+}
+
+impl Residency {
+    /// `None` when the object is unknown, has no payload, or its home
+    /// is dead (the memory of a dead process cannot be protected).
+    fn of(kernel: &Kernel, objects: &ObjectStore, id: ObjectId) -> Option<Residency> {
+        let meta = objects.meta(id)?;
+        if let Some((seg, _)) = meta.shm {
+            return Some(Residency::Shm(seg));
+        }
+        let (addr, len) = meta.buffer?;
+        kernel
+            .is_running(meta.home)
+            .then_some(Residency::Buffer(meta.home, addr, len))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use freepart_frameworks::ObjectKind;
-    use freepart_simos::SimError;
+    use freepart_simos::{Errno, SimError, Syscall};
 
     fn setup() -> (Kernel, ObjectStore, freepart_simos::Pid) {
         let mut k = Kernel::new();
@@ -350,6 +378,35 @@ mod tests {
         // The downgraded grant still reads, but a write now faults.
         assert!(k.shm_read(pid, seg).is_ok());
         assert!(k.shm_write(pid, seg, &[1; 4096]).is_err());
+    }
+
+    #[test]
+    fn failed_storm_leaves_tracker_matching_the_kernel() {
+        let (mut k, mut store, pid) = setup();
+        let mut sm = StateMachine::new(true);
+        let kept = store
+            .create_with_data(&mut k, pid, ObjectKind::Blob, "kept", &[1; 64])
+            .unwrap();
+        let gone = store
+            .create_with_data(&mut k, pid, ObjectKind::Blob, "gone", &[2; 64])
+            .unwrap();
+        sm.define(kept);
+        sm.define(gone);
+        // A wild munmap pulls one payload out from under the store, so
+        // the lock batch holds an unmapped range and fails as a whole.
+        let (addr, len) = store.meta(gone).unwrap().buffer.unwrap();
+        k.syscall(pid, Syscall::Munmap { addr, len }).unwrap();
+        let err = sm
+            .observe(ApiType::DataLoading, &mut k, &store)
+            .unwrap_err();
+        assert!(matches!(err, SimError::Errno(Errno::Einval)));
+        assert!(sm.protected().is_empty());
+        assert_eq!(k.metrics().protected_pages, 0);
+        for id in [kept, gone] {
+            let (addr, _) = store.meta(id).unwrap().buffer.unwrap();
+            let locked = k.process(pid).unwrap().aspace.perms_at(addr) == Some(Perms::R);
+            assert_eq!(sm.is_protected(id), locked, "tracker drifted on {id:?}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use freepart::{
 use freepart_frameworks::registry::standard_registry;
 use freepart_frameworks::{fileio, image::Image, ExploitAction, ExploitPayload, Value};
 use freepart_simos::replay::{audit, replay};
-use freepart_simos::FaultKind;
+use freepart_simos::{CommitOp, FaultKind};
 
 /// The OMR grader's per-sample call shape: walks the framework-state
 /// machine through loading → processing → visualizing → storing.
@@ -88,6 +88,54 @@ fn recorded_pipeline_replays_digest_identical_and_audits_clean() {
     );
     assert_eq!(journal_exactly_once(rt.tracer()), Vec::<String>::new());
     assert!(crash_forensics(&log).is_empty(), "no crashes in this run");
+}
+
+#[test]
+fn transition_storms_commit_at_most_two_protect_records() {
+    // A cyclic pipeline: every sample re-enters each state, so the
+    // per-state object sets (and the storms that walk them) keep growing.
+    const SAMPLES: usize = 24;
+    let run = |policy: Policy| {
+        let mut rt = Runtime::install(standard_registry(), policy);
+        rt.enable_tracing();
+        for _ in 0..SAMPLES {
+            omr_shaped_pipeline(&mut rt);
+        }
+        rt
+    };
+    let mut recorded = run(Policy::freepart_recorded());
+    let plain = run(Policy::freepart());
+    let log = recorded.kernel.take_commit_log().expect("recording was on");
+
+    // One range-list protect per storm direction, however many objects
+    // the storm covers.
+    let windows = transition_windows(recorded.tracer());
+    assert!(windows.len() >= 2 * SAMPLES, "{} windows", windows.len());
+    for w in &windows {
+        let protects = log.records()[w.commits.0 as usize..w.commits.1 as usize]
+            .iter()
+            .filter(|r| matches!(r.op, CommitOp::Protect { .. }))
+            .count();
+        assert!(protects <= 2, "{protects} protect records in {w:?}");
+    }
+    let widest = recorded
+        .tracer()
+        .audit_log()
+        .iter()
+        .filter_map(|r| match r {
+            AuditRecord::StateTransition { objects_locked, .. } => Some(*objects_locked),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0);
+    assert!(widest >= SAMPLES, "storms must grow: widest {widest}");
+
+    // Recording changes what is logged, never what is modelled.
+    assert_eq!(recorded.kernel.now_ns(), plain.kernel.now_ns());
+    assert_eq!(
+        recorded.kernel.metrics().protected_pages,
+        plain.kernel.metrics().protected_pages
+    );
 }
 
 #[test]

@@ -91,12 +91,13 @@ pub enum CommitOp {
         addr: Addr,
         bytes: Vec<u8>,
     },
-    /// Harness-level protection change.
+    /// Harness-level protection change of every `(pid, addr, len)`
+    /// range to `perms`, applied atomically: all ranges are validated
+    /// before any page changes. A transition storm is one such op per
+    /// direction.
     Protect {
-        pid: Pid,
-        addr: Addr,
-        len: u64,
         perms: Perms,
+        ranges: Vec<(Pid, Addr, u64)>,
     },
     /// Shared-memory segment creation (payload adopted, owner granted RW).
     ShmCreate { owner: Pid, bytes: Vec<u8> },
@@ -214,15 +215,19 @@ impl CommitOp {
         }
     }
 
-    /// The process the operation acts on behalf of, when one exists.
+    /// The process the operation acts on behalf of, when one exists. A
+    /// protect batch has one only when every range names the same pid.
     pub fn acting_pid(&self) -> Option<Pid> {
         use CommitOp as O;
         match self {
+            O::Protect { ranges, .. } => {
+                let (first, ..) = *ranges.first()?;
+                ranges.iter().all(|r| r.0 == first).then_some(first)
+            }
             O::DeliverFault { pid, .. }
             | O::Reap { pid }
             | O::Alloc { pid, .. }
             | O::MemWrite { pid, .. }
-            | O::Protect { pid, .. }
             | O::ShmGrant { pid, .. }
             | O::ShmMap { pid, .. }
             | O::ShmRevoke { pid, .. }

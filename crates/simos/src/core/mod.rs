@@ -34,4 +34,4 @@ mod dispatch;
 
 pub use effects::{Counter, Effect, Effects};
 pub use state::{KernelState, TimelineMode};
-pub use step::{outcome_of_step, step, StepResult, StepValue};
+pub use step::{outcome_of_step, step, step_ref, StepResult, StepValue};

@@ -102,9 +102,17 @@ pub fn outcome_of_step(r: &StepResult) -> CommitOutcome {
 /// consequence into `fx` (ending with exactly one [`Effect::Record`])
 /// and returning the typed result.
 pub fn step(state: &mut KernelState, op: CommitOp, fx: &mut Effects) -> StepResult {
-    let r = apply(state, &op, fx);
+    let r = step_ref(state, &op, fx);
     let outcome = outcome_of_step(&r);
     fx.push(Effect::Record { op, outcome });
+    r
+}
+
+/// The borrowing form of [`step`] for folds over ops someone else owns
+/// (replay, audit): the same transition and effects, minus the trailing
+/// [`Effect::Record`] — the only part that needs the op by value.
+pub fn step_ref(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult {
+    let r = apply(state, op, fx);
     #[cfg(debug_assertions)]
     state.check_invariants();
     r
@@ -131,6 +139,39 @@ pub(super) fn crash(
         }
     }
     fault
+}
+
+/// Moves every `(pid, addr, len)` range to `perms` and returns the total
+/// number of pages that changed. Every range is validated first — its
+/// pid running, its pages mapped — so a batch either applies whole or
+/// fails with the first bad range's error having changed nothing, like
+/// a single [`AddressSpace::protect`](crate::AddressSpace::protect).
+/// Each range's changed pages are charged to its own pid; pages already
+/// at `perms` cost nothing.
+fn protect_ranges(
+    state: &mut KernelState,
+    fx: &mut Effects,
+    perms: Perms,
+    ranges: &[(Pid, Addr, u64)],
+) -> Result<u64, SimError> {
+    for &(pid, addr, len) in ranges {
+        state.require_running(pid)?;
+        if !state.procs[&pid].aspace.is_mapped(addr, len) {
+            return Err(SimError::Errno(Errno::Einval));
+        }
+    }
+    let mut total = 0;
+    for &(pid, addr, len) in ranges {
+        let p = state.procs.get_mut(&pid).expect("validated");
+        let changed = p.aspace.protect(addr, len, perms).expect("validated");
+        if changed > 0 {
+            let ns = state.cost.mprotect_cost(changed);
+            state.charge_to(fx, pid, ns);
+            state.bump(fx, Counter::ProtectedPages, changed);
+        }
+        total += changed;
+    }
+    Ok(total)
 }
 
 #[allow(clippy::too_many_lines)]
@@ -213,26 +254,8 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
                 Err(kind) => Err(crash(state, fx, pid, kind, Some(addr)).into()),
             }
         }
-        O::Protect {
-            pid,
-            addr,
-            len,
-            perms,
-        } => {
-            let pid = *pid;
-            state.require_running(pid)?;
-            let p = state.procs.get_mut(&pid).expect("checked");
-            match p.aspace.protect(*addr, *len, *perms) {
-                Ok(changed) => {
-                    if changed > 0 {
-                        let ns = state.cost.mprotect_cost(changed);
-                        state.charge_to(fx, pid, ns);
-                        state.bump(fx, Counter::ProtectedPages, changed);
-                    }
-                    Ok(StepValue::Num(changed))
-                }
-                Err(_) => Err(SimError::Errno(Errno::Einval)),
-            }
+        O::Protect { perms, ranges } => {
+            protect_ranges(state, fx, *perms, ranges).map(StepValue::Num)
         }
 
         // ---------------- shared memory ----------------

@@ -37,7 +37,7 @@
 use crate::commit::{CommitLog, CommitOp};
 use crate::core::effects::Effects;
 use crate::core::state::KernelState;
-use crate::core::step::{step, StepResult, StepValue};
+use crate::core::step::{step, step_ref, StepResult, StepValue};
 use crate::cost::CostModel;
 use crate::device::WindowId;
 use crate::error::{Fault, FaultKind, SimResult};
@@ -131,9 +131,15 @@ impl Kernel {
     /// Applies one [`CommitOp`] through the pure core, recorded exactly
     /// like the typed entry point it corresponds to. This is the generic
     /// form of every mutating method below; replay and forensics use it
-    /// to re-execute logged ops without caring which arm they are.
-    pub fn apply(&mut self, op: CommitOp) -> StepResult {
-        self.do_step(op)
+    /// to re-execute logged ops without caring which arm they are. It
+    /// borrows the op: a kernel that is not recording folds it without
+    /// a clone, and a recording one clones it once into its own log.
+    pub fn apply(&mut self, op: &CommitOp) -> StepResult {
+        if self.recording() {
+            return self.do_step(op.clone());
+        }
+        self.fx.clear();
+        step_ref(&mut self.state, op, &mut self.fx)
     }
 
     /// The effects emitted by the most recent mutating entry point
@@ -385,12 +391,25 @@ impl Kernel {
     /// `EINVAL` on an unmapped range; fails when the process is unknown
     /// or dead.
     pub fn protect(&mut self, pid: Pid, addr: Addr, len: u64, perms: Perms) -> SimResult<u64> {
-        match self.do_step(CommitOp::Protect {
-            pid,
-            addr,
-            len,
-            perms,
-        })? {
+        self.protect_ranges(perms, vec![(pid, addr, len)])
+    }
+
+    /// [`Kernel::protect`] over a list of `(pid, addr, len)` ranges as
+    /// one kernel op — one commit record however many ranges. The batch
+    /// is atomic: every range is validated before any page changes, and
+    /// a failure changes nothing. Each range's changed pages are charged
+    /// to its own pid. Returns the total number of changed pages.
+    ///
+    /// # Errors
+    ///
+    /// The first bad range's error: unknown or dead pid, or `EINVAL` on
+    /// an unmapped range.
+    pub fn protect_ranges(
+        &mut self,
+        perms: Perms,
+        ranges: Vec<(Pid, Addr, u64)>,
+    ) -> SimResult<u64> {
+        match self.do_step(CommitOp::Protect { perms, ranges })? {
             StepValue::Num(changed) => Ok(changed),
             _ => unreachable!("protect returns changed pages"),
         }
@@ -1210,5 +1229,67 @@ mod tests {
         assert_eq!(k.shm_segment(id).unwrap().write_epoch(), e0);
         k.shm_write(a, id, &[2; 128]).unwrap();
         assert!(k.shm_segment(id).unwrap().write_epoch() > e0);
+    }
+
+    #[test]
+    fn protect_batch_charges_each_range_to_its_own_pid() {
+        let mut k = Kernel::new();
+        k.enable_per_process_time();
+        let a = k.spawn("a");
+        let b = k.spawn("b");
+        let ra = k.alloc(a, 2 * PAGE_SIZE, Perms::RW).unwrap();
+        let rb = k.alloc(b, 3 * PAGE_SIZE, Perms::RW).unwrap();
+        let (ta, tb) = (k.timeline_ns(a), k.timeline_ns(b));
+        let changed = k
+            .protect_ranges(
+                Perms::R,
+                vec![(a, ra, 2 * PAGE_SIZE), (b, rb, 3 * PAGE_SIZE)],
+            )
+            .unwrap();
+        assert_eq!(changed, 5);
+        assert_eq!(k.metrics().protected_pages, 5);
+        assert_eq!(k.timeline_ns(a) - ta, k.cost.mprotect_cost(2));
+        assert_eq!(k.timeline_ns(b) - tb, k.cost.mprotect_cost(3));
+        // Pages already at the target cost nothing, in a batch as alone.
+        assert_eq!(
+            k.protect_ranges(Perms::R, vec![(a, ra, PAGE_SIZE), (b, rb, PAGE_SIZE)])
+                .unwrap(),
+            0
+        );
+        assert_eq!(k.metrics().protected_pages, 5);
+    }
+
+    #[test]
+    fn protect_batch_with_one_bad_range_changes_nothing() {
+        let mut k = Kernel::new();
+        let a = k.spawn("a");
+        let b = k.spawn("b");
+        let ra = k.alloc(a, 2 * PAGE_SIZE, Perms::RW).unwrap();
+        let rb = k.alloc(b, PAGE_SIZE, Perms::RW).unwrap();
+        let unmapped = Addr(ra.0 + 64 * PAGE_SIZE);
+        k.deliver_fault(b, FaultKind::Abort, None);
+        let before = (k.state_digest(), k.now_ns(), k.metrics().protected_pages);
+        let fp = k.process(a).unwrap().aspace.fingerprint();
+        let good = (a, ra, 2 * PAGE_SIZE);
+        // An unmapped range after a good one: EINVAL, nothing applied.
+        let err = k
+            .protect_ranges(Perms::R, vec![good, (a, unmapped, PAGE_SIZE)])
+            .unwrap_err();
+        assert!(matches!(err, SimError::Errno(Errno::Einval)));
+        // A dead pid: the single-range error, nothing applied.
+        let err = k
+            .protect_ranges(Perms::R, vec![good, (b, rb, PAGE_SIZE)])
+            .unwrap_err();
+        assert!(matches!(err, SimError::ProcessDead(p) if p == b));
+        assert_eq!(
+            (k.state_digest(), k.now_ns(), k.metrics().protected_pages),
+            before
+        );
+        assert_eq!(k.process(a).unwrap().aspace.fingerprint(), fp);
+        assert_eq!(k.process(a).unwrap().aspace.perms_at(ra), Some(Perms::RW));
+        assert!(
+            k.last_effects().is_empty(),
+            "a failed batch charges nothing"
+        );
     }
 }

@@ -133,6 +133,14 @@ impl Page {
     }
 }
 
+/// First and last page bases covering `[addr, addr+len)`; an empty
+/// range covers the page holding `addr`. `None` when the range runs past
+/// the end of the address space.
+fn page_span(addr: Addr, len: u64) -> Option<(u64, u64)> {
+    let end = addr.0.checked_add(len.saturating_sub(1))?;
+    Some((addr.page_base(), Addr(end).page_base()))
+}
+
 /// Outcome of a raw memory access attempt.
 pub(crate) type AccessResult<T> = Result<T, FaultKind>;
 
@@ -233,25 +241,16 @@ impl AddressSpace {
     /// range is unmapped (Linux returns `ENOMEM`; we treat it as a
     /// harness fault because our callers always pass mapped ranges).
     pub fn protect(&mut self, addr: Addr, len: u64, perms: Perms) -> AccessResult<u64> {
-        let first = addr.page_base();
-        let last = Addr(addr.0 + len.saturating_sub(1)).page_base();
         // Validate first so the operation is atomic.
-        let mut p = first;
-        while p <= last {
-            if !self.pages.contains_key(&p) {
-                return Err(FaultKind::Unmapped);
-            }
-            p += PAGE_SIZE;
-        }
+        let Some((first, last)) = self.mapped_span(addr, len) else {
+            return Err(FaultKind::Unmapped);
+        };
         let mut changed = 0;
-        let mut p = first;
-        while p <= last {
-            let page = self.pages.get_mut(&p).expect("validated above");
+        for page in self.pages.range_mut(first..=last).map(|(_, page)| page) {
             if page.perms != perms {
                 page.perms = perms;
                 changed += 1;
             }
-            p += PAGE_SIZE;
         }
         if changed > 0 {
             self.fp = mix(
@@ -284,21 +283,19 @@ impl AddressSpace {
         self.pages.get(&addr.page_base()).map(|p| p.perms)
     }
 
-    /// True when the full range is mapped.
+    /// True when the full range is mapped (an empty range: the page
+    /// holding `addr`).
     pub fn is_mapped(&self, addr: Addr, len: u64) -> bool {
-        if len == 0 {
-            return self.pages.contains_key(&addr.page_base());
-        }
-        let first = addr.page_base();
-        let last = Addr(addr.0 + len - 1).page_base();
-        let mut p = first;
-        while p <= last {
-            if !self.pages.contains_key(&p) {
-                return false;
-            }
-            p += PAGE_SIZE;
-        }
-        true
+        self.mapped_span(addr, len).is_some()
+    }
+
+    /// The [`page_span`] of a range, when every page in it is mapped.
+    fn mapped_span(&self, addr: Addr, len: u64) -> Option<(u64, u64)> {
+        let (first, last) = page_span(addr, len)?;
+        // Keys are page bases, so the span is mapped exactly when it
+        // holds one key per page.
+        let pages = self.pages.range(first..=last).count() as u64;
+        (pages == (last - first) / PAGE_SIZE + 1).then_some((first, last))
     }
 
     /// Reads `len` bytes starting at `addr`, checking read permission on
@@ -466,6 +463,10 @@ mod tests {
         );
         // Mapped page unchanged.
         assert_eq!(asp.perms_at(a), Some(Perms::RW));
+        // A range running past the end of the address space is refused,
+        // not wrapped.
+        assert!(!asp.is_mapped(a, u64::MAX));
+        assert_eq!(asp.protect(a, u64::MAX, Perms::R), Err(FaultKind::Unmapped));
     }
 
     #[test]

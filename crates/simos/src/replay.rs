@@ -32,7 +32,7 @@ use std::collections::BTreeSet;
 use crate::commit::{CommitLog, CommitOp, CommitOutcome};
 use crate::core::effects::Effects;
 use crate::core::state::KernelState;
-use crate::core::step::{outcome_of_step, step};
+use crate::core::step::{outcome_of_step, step_ref};
 use crate::ipc::ChannelId;
 use crate::kernel::Kernel;
 use crate::process::Pid;
@@ -80,13 +80,13 @@ impl ReplayReport {
 }
 
 /// Re-applies one logged operation to `k` through the recorded path
-/// ([`Kernel::apply`], i.e. the pure `step`), returning the outcome
-/// summary via the shared [`outcome_of_step`] path so recorder and
-/// replayer cannot drift. Kept as the op-at-a-time surface for
-/// forensics-style consumers that interleave re-execution with their
-/// own bookkeeping.
+/// ([`Kernel::apply`], i.e. the pure `step` without cloning the op),
+/// returning the outcome summary via the shared
+/// [`outcome_of_step`] path so recorder and replayer cannot drift. Kept
+/// as the op-at-a-time surface for forensics-style consumers that
+/// interleave re-execution with their own bookkeeping.
 pub fn apply_op(k: &mut Kernel, op: &CommitOp) -> CommitOutcome {
-    outcome_of_step(&k.apply(op.clone()))
+    outcome_of_step(&k.apply(op))
 }
 
 /// Replays `log` by folding the pure [`step`](crate::core::step) over a
@@ -99,7 +99,7 @@ pub fn replay(log: &CommitLog) -> (Kernel, ReplayReport) {
     let mut report = ReplayReport::default();
     for rec in log.records() {
         fx.clear();
-        let got = outcome_of_step(&step(&mut state, rec.op.clone(), &mut fx));
+        let got = outcome_of_step(&step_ref(&mut state, &rec.op, &mut fx));
         report.steps += 1;
         if got != rec.outcome {
             report.divergences.push(Divergence {
@@ -171,7 +171,7 @@ pub fn audit(log: &CommitLog) -> Vec<InvariantViolation> {
         let ok = rec.outcome.is_ok();
         let pages_before = shadow.metrics().protected_pages;
         fx.clear();
-        let _ = step(&mut shadow, rec.op.clone(), &mut fx);
+        let _ = step_ref(&mut shadow, &rec.op, &mut fx);
         let pages_after = shadow.metrics().protected_pages;
         match &rec.op {
             O::SetNoNewPrivs { pid } if ok => {
@@ -310,6 +310,8 @@ fn entities_of(op: &CommitOp, outcome: CommitOutcome) -> Vec<Entity> {
             out.push(Entity::Proc(*new_b));
         }
         O::SetTimeContext { pid: Some(pid) } => out.push(Entity::Proc(*pid)),
+        // A storm batch touches every range's process.
+        O::Protect { ranges, .. } => out.extend(ranges.iter().map(|r| Entity::Proc(r.0))),
         _ => {}
     }
     out

@@ -5,8 +5,8 @@
 use freepart_simos::core::{outcome_of_step, step};
 use freepart_simos::replay::{audit, forensic_chain, replay, DivergenceKind};
 use freepart_simos::{
-    CommitLog, CommitOp, CommitOutcome, Effects, Kernel, KernelState, Perms, Syscall,
-    SyscallFilter, SyscallNo,
+    Addr, CommitLog, CommitOp, CommitOutcome, Effects, Kernel, KernelState, Perms, Pid, Syscall,
+    SyscallFilter, SyscallNo, PAGE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -18,6 +18,10 @@ enum Step {
     Alloc(u8, u16),
     Write(u8, u8, Vec<u8>),
     Protect(u8, u8, u8),
+    /// One range-list protect: `(pid, region, page offset, byte len)`
+    /// per range — pids may be dead or reaped, ranges may overlap or run
+    /// off their region into unmapped pages.
+    ProtectBatch(Vec<(u8, u8, u8, u16)>, u8),
     ShmCreate(u8, u16),
     ShmGrant(u8, u8, u8),
     ShmMap(u8, u8),
@@ -44,6 +48,11 @@ fn arb_step() -> impl Strategy<Value = Step> {
         (any::<u8>(), 1u16..2048).prop_map(|(p, n)| Step::Alloc(p, n)),
         (any::<u8>(), any::<u8>(), bytes()).prop_map(|(p, r, d)| Step::Write(p, r, d)),
         (any::<u8>(), any::<u8>(), 0u8..5).prop_map(|(p, r, m)| Step::Protect(p, r, m)),
+        (
+            proptest::collection::vec((any::<u8>(), any::<u8>(), 0u8..3, 1u16..9000), 0..6),
+            0u8..5
+        )
+            .prop_map(|(rs, m)| Step::ProtectBatch(rs, m)),
         (any::<u8>(), 1u16..2048).prop_map(|(p, n)| Step::ShmCreate(p, n)),
         (any::<u8>(), any::<u8>(), 0u8..5).prop_map(|(s, p, m)| Step::ShmGrant(s, p, m)),
         (any::<u8>(), any::<u8>()).prop_map(|(s, p)| Step::ShmMap(s, p)),
@@ -64,6 +73,16 @@ fn arb_step() -> impl Strategy<Value = Step> {
     ]
 }
 
+fn perms_of(m: u8) -> Perms {
+    match m {
+        0 => Perms::NONE,
+        1 => Perms::R,
+        2 => Perms::RW,
+        3 => Perms::RX,
+        _ => Perms::RWX,
+    }
+}
+
 fn pick<T: Copy>(items: &[T], i: u8) -> Option<T> {
     if items.is_empty() {
         None
@@ -82,13 +101,6 @@ fn record(steps: &[Step]) -> CommitLog {
     let mut regions = Vec::new();
     let mut segs = Vec::new();
     let mut chans = Vec::new();
-    let perms_of = |m: u8| match m {
-        0 => Perms::NONE,
-        1 => Perms::R,
-        2 => Perms::RW,
-        3 => Perms::RX,
-        _ => Perms::RWX,
-    };
     for s in steps {
         match s {
             Step::Spawn => {
@@ -118,6 +130,24 @@ fn record(steps: &[Step]) -> CommitLog {
                     regions.get(*r as usize % regions.len().max(1)),
                 ) {
                     let _ = k.protect(pid, a, len, perms_of(*m));
+                }
+            }
+            Step::ProtectBatch(rs, m) => {
+                let ranges: Vec<_> = rs
+                    .iter()
+                    .filter_map(|&(p, r, off, len)| {
+                        let (_, a, _) = pick(&regions, r)?;
+                        let addr = Addr(a.0 + u64::from(off) * PAGE_SIZE);
+                        Some((pick(&pids, p)?, addr, u64::from(len)))
+                    })
+                    .collect();
+                let before = k.state_digest();
+                if k.protect_ranges(perms_of(*m), ranges).is_err() {
+                    assert_eq!(
+                        k.state_digest(),
+                        before,
+                        "a failed batch must change nothing"
+                    );
                 }
             }
             Step::ShmCreate(p, n) => {
@@ -225,7 +255,71 @@ fn record(steps: &[Step]) -> CommitLog {
     k.take_commit_log().unwrap()
 }
 
+/// A per-process-time kernel with one region of `pages[i]` pages per
+/// process, some of it already re-protected by `pre`. Deterministic, so
+/// two calls build identical kernels.
+fn protect_fixture(pages: &[u64], pre: &[(u8, u8)]) -> (Kernel, Vec<(Pid, Addr, u64)>) {
+    let mut k = Kernel::new();
+    k.enable_per_process_time();
+    let regions: Vec<_> = pages
+        .iter()
+        .map(|&n| {
+            let pid = k.spawn("p");
+            (
+                pid,
+                k.alloc(pid, n * PAGE_SIZE, Perms::RW).unwrap(),
+                n * PAGE_SIZE,
+            )
+        })
+        .collect();
+    for &(r, m) in pre {
+        let (pid, addr, len) = pick(&regions, r).unwrap();
+        k.protect(pid, addr, len / 2 + 1, perms_of(m)).unwrap();
+    }
+    (k, regions)
+}
+
 proptest! {
+    /// One batched protect over a list of valid ranges — overlapping or
+    /// not, across several processes — leaves the kernel exactly where
+    /// the same ranges applied one op each would: same changed-page
+    /// total, `protected_pages`, per-pid virtual time, address-space
+    /// fingerprints and state digest.
+    #[test]
+    fn batched_protect_equals_one_op_per_range(
+        pages in proptest::collection::vec(1u64..5, 1..5),
+        pre in proptest::collection::vec((any::<u8>(), 0u8..5), 0..6),
+        picks in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..8),
+        m in 0u8..5,
+    ) {
+        let (mut batched, regions) = protect_fixture(&pages, &pre);
+        let (mut single, _) = protect_fixture(&pages, &pre);
+        let ranges: Vec<(Pid, Addr, u64)> = picks
+            .iter()
+            .map(|&(r, off, len)| {
+                let (pid, addr, size) = pick(&regions, r).unwrap();
+                let off = off % size;
+                (pid, Addr(addr.0 + off), 1 + len % (size - off))
+            })
+            .collect();
+        let perms = perms_of(m);
+        let total = batched.protect_ranges(perms, ranges.clone()).unwrap();
+        let mut sum = 0;
+        for &(pid, addr, len) in &ranges {
+            sum += single.protect(pid, addr, len, perms).unwrap();
+        }
+        prop_assert_eq!(total, sum);
+        prop_assert_eq!(batched.metrics().protected_pages, single.metrics().protected_pages);
+        for &(pid, ..) in &regions {
+            prop_assert_eq!(batched.timeline_ns(pid), single.timeline_ns(pid));
+            prop_assert_eq!(
+                batched.process(pid).unwrap().aspace.fingerprint(),
+                single.process(pid).unwrap().aspace.fingerprint()
+            );
+        }
+        prop_assert_eq!(batched.state_digest(), single.state_digest());
+    }
+
     /// Any recorded run replays digest-identical — zero divergences —
     /// and the rebuilt kernel's final digest matches the log's last
     /// record. The whole-trace invariant auditor passes too: honest
