@@ -61,7 +61,9 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &DroneConfig) -> DroneResult {
         commands: Vec::new(),
     };
 
-    let capture = match surface.call("cv2.VideoCapture", &[Value::I64(0)]) {
+    // Every call is submitted without retiring it (see
+    // `ApiSurface::submit`); the mission retires them all at the end.
+    let capture = match surface.submit("cv2.VideoCapture", &[Value::I64(0)]) {
         Ok(c) => c,
         Err(_) => {
             result.control_loop_alive = surface.kernel().is_running(surface.host_pid());
@@ -72,11 +74,13 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &DroneConfig) -> DroneResult {
     for frame_idx in 0..cfg.frames {
         surface.trace_mark(&format!("drone:frame {frame_idx}"));
         // 1. Grab a frame and stage it to disk (the project's pattern:
-        //    camera → file → imread).
+        //    camera → file → imread). Execution is eager at submission,
+        //    so the file is staged before `imread` submits even though
+        //    neither call has retired yet.
         let staged = format!("/drone/frame-{frame_idx}.simg");
         let ok = (|| -> Result<(), CallError> {
-            let frame = surface.call("cv2.VideoCapture.read", std::slice::from_ref(&capture))?;
-            surface.call("cv2.imwrite", &[Value::Str(staged.clone()), frame])?;
+            let frame = surface.submit("cv2.VideoCapture.read", std::slice::from_ref(&capture))?;
+            surface.submit("cv2.imwrite", &[Value::Str(staged.clone()), frame])?;
             Ok(())
         })();
         if ok.is_err() {
@@ -95,9 +99,9 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &DroneConfig) -> DroneResult {
         }
         // 2. Load + detect.
         let detection = (|| -> Result<f64, CallError> {
-            let img = surface.call("cv2.imread", &[Value::Str(staged.clone())])?;
-            let gray = surface.call("cv2.cvtColor", &[img])?;
-            let hits = surface.call("cv2.findContours", &[gray])?;
+            let img = surface.submit("cv2.imread", &[Value::Str(staged.clone())])?;
+            let gray = surface.submit("cv2.cvtColor", &[img])?;
+            let hits = surface.submit("cv2.findContours", &[gray])?;
             Ok(match hits {
                 Value::Rects(r) => r.len() as f64,
                 _ => 0.0,
@@ -107,6 +111,8 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &DroneConfig) -> DroneResult {
             Ok(direction) => {
                 // 3. Control: host reads self.speed and steers. This is
                 //    the part that must survive any framework exploit.
+                //    `self.speed` is host-resident, so the read is not a
+                //    batch hazard.
                 let bytes = surface.fetch_bytes(speed).unwrap_or_default();
                 let speed_now = bytes
                     .get(..8)
@@ -124,6 +130,7 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &DroneConfig) -> DroneResult {
             break;
         }
     }
+    surface.drain();
     result
 }
 
@@ -138,13 +145,7 @@ mod tests {
     #[test]
     fn benign_mission_tracks_every_frame() {
         let mut rt = MonolithicRuntime::original(standard_registry());
-        let r = run(
-            &mut rt,
-            &DroneConfig {
-                frames: 5,
-                evil_frame: None,
-            },
-        );
+        let r = run(&mut rt, &benign(5));
         assert_eq!(r.frames_processed, 5);
         assert!(r.control_loop_alive);
         assert!(r.commands.iter().all(|c| *c > 0.0), "positive steering");
@@ -162,19 +163,58 @@ mod tests {
         assert!(r.frames_processed < 5);
     }
 
+    /// The FreePart presets every attack verdict is checked under: the
+    /// same driver, submitted synchronously or batched.
+    fn presets() -> [(&'static str, Policy); 4] {
+        [
+            ("freepart", Policy::freepart()),
+            ("freepart_batched", Policy::freepart_batched()),
+            ("freepart_adaptive", Policy::freepart_adaptive()),
+            ("freepart_full", Policy::freepart_full()),
+        ]
+    }
+
+    fn benign(frames: u32) -> DroneConfig {
+        DroneConfig {
+            frames,
+            evil_frame: None,
+        }
+    }
+
     #[test]
     fn freepart_drone_survives_dos_and_keeps_flying() {
-        let mut rt = Runtime::install(standard_registry(), Policy::freepart());
         let cfg = DroneConfig {
             frames: 5,
             evil_frame: Some((2, payloads::dos("CVE-2017-14136"))),
         };
-        let r = run(&mut rt, &cfg);
-        assert!(r.control_loop_alive, "control loop unaffected");
-        // The poisoned frame is lost; the rest get processed after the
-        // loading agent restarts.
-        assert_eq!(r.frames_processed, 4);
-        assert_eq!(r.frames_lost, 1);
+        for (name, policy) in presets() {
+            let mut rt = Runtime::install(standard_registry(), policy);
+            let r = run(&mut rt, &cfg);
+            assert!(r.control_loop_alive, "{name}: control loop unaffected");
+            // The poisoned frame is lost; the rest get processed after
+            // the loading agent restarts.
+            assert_eq!(r.frames_processed, 4, "{name}");
+            assert_eq!(r.frames_lost, 1, "{name}");
+            assert!(r.commands.iter().all(|c| *c > 0.0), "{name}");
+            assert_eq!(rt.in_flight(), 0, "{name}: mission ends fully drained");
+        }
+    }
+
+    #[test]
+    fn batching_keeps_the_commands_and_cuts_frames() {
+        let mut sync_rt = Runtime::install(standard_registry(), Policy::freepart());
+        let sync = run(&mut sync_rt, &benign(8));
+        let sync_ipc = sync_rt.kernel.metrics().ipc_messages;
+
+        let mut rt = Runtime::install(standard_registry(), Policy::freepart_batched());
+        let batched = run(&mut rt, &benign(8));
+        let m = rt.kernel.metrics();
+
+        assert_eq!(batched.frames_processed, 8);
+        assert!(batched.control_loop_alive);
+        assert_eq!(batched.commands, sync.commands, "byte-identical steering");
+        assert_eq!(rt.in_flight(), 0, "mission ends fully drained");
+        assert!(m.ipc_messages < sync_ipc, "batching must cut frames");
     }
 
     #[test]
@@ -183,13 +223,7 @@ mod tests {
         let mut rt = MonolithicRuntime::original(standard_registry());
         let addr = {
             let mut probe = MonolithicRuntime::original(standard_registry());
-            let r = run(
-                &mut probe,
-                &DroneConfig {
-                    frames: 0,
-                    evil_frame: None,
-                },
-            );
+            let r = run(&mut probe, &benign(0));
             probe.objects.meta(r.speed).unwrap().buffer.unwrap().0
         };
         let evil_speed = (-0.3f64).to_le_bytes().to_vec();
@@ -208,29 +242,30 @@ mod tests {
         );
 
         // FreePart: the write lands in the loading agent's address space
-        // and faults; steering stays positive.
-        let mut rt = Runtime::install(standard_registry(), Policy::freepart());
-        let addr = {
-            let mut probe = Runtime::install(standard_registry(), Policy::freepart());
-            let r = run(
-                &mut probe,
-                &DroneConfig {
-                    frames: 0,
-                    evil_frame: None,
-                },
+        // and faults; steering stays positive. Each preset probes under
+        // its own policy: host_data placement is identical, so the
+        // attacker aims at the same buffer address.
+        for (name, policy) in presets() {
+            let addr = {
+                let mut probe = Runtime::install(standard_registry(), policy.clone());
+                let r = run(&mut probe, &benign(0));
+                probe.objects.meta(r.speed).unwrap().buffer.unwrap().0
+            };
+            let mut rt = Runtime::install(standard_registry(), policy);
+            let cfg = DroneConfig {
+                frames: 4,
+                evil_frame: Some((
+                    1,
+                    payloads::corrupt("CVE-2017-12606", addr.0, evil_speed.clone()),
+                )),
+            };
+            let r = run(&mut rt, &cfg);
+            assert!(r.control_loop_alive, "{name}");
+            assert!(
+                r.commands.iter().all(|c| *c > 0.0),
+                "{name}: steering unaffected: {:?}",
+                r.commands
             );
-            probe.objects.meta(r.speed).unwrap().buffer.unwrap().0
-        };
-        let cfg = DroneConfig {
-            frames: 4,
-            evil_frame: Some((1, payloads::corrupt("CVE-2017-12606", addr.0, evil_speed))),
-        };
-        let r = run(&mut rt, &cfg);
-        assert!(r.control_loop_alive);
-        assert!(
-            r.commands.iter().all(|c| *c > 0.0),
-            "steering unaffected: {:?}",
-            r.commands
-        );
+        }
     }
 }

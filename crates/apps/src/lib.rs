@@ -9,8 +9,6 @@
 //!   §A.7.
 //! * [`pipeline`]: the pipelined (asynchronous, per-process virtual
 //!   time) drone driver.
-//! * [`batched`]: the batched-submission OMR and drone drivers
-//!   (coalesced IPC frames, `Policy::batch_window`).
 //! * [`mixes`]: the adversarial workload mixes behind the adaptive
 //!   policy-controller benchmark.
 //! * [`study`]: the 56-application survey corpus behind Study 1,
@@ -19,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batched;
 pub mod driver;
 pub mod drone;
 pub mod mcomix;
@@ -35,3 +32,25 @@ pub mod tenants;
 pub use driver::{run_app, RunOptions, RunReport};
 pub use spec::{by_id, resolve, AppSpec, ResolvedApp, TABLE6};
 pub use study::{study_corpus, StudySketch};
+
+use freepart::CallError;
+use freepart_baselines::ApiSurface;
+use freepart_frameworks::Value;
+
+/// Submits one hooked call through [`ApiSurface::submit`], recording a
+/// failure (a containment event under attack) in `errors` instead of
+/// aborting the driver.
+pub(crate) fn submit_or_record(
+    surface: &mut dyn ApiSurface,
+    errors: &mut Vec<CallError>,
+    name: &str,
+    args: &[Value],
+) -> Option<Value> {
+    match surface.submit(name, args) {
+        Ok(v) => Some(v),
+        Err(e) => {
+            errors.push(e);
+            None
+        }
+    }
+}

@@ -11,17 +11,18 @@
 //! this one driver, and asserts the controller matches or beats each
 //! preset while producing byte-identical digests.
 //!
-//! Like [`crate::batched`], the driver submits through the
-//! asynchronous interface (`call_async` + `promise`, retiring only at
-//! [`Runtime::drain_inflight`]) so same-partition bursts can coalesce
-//! when a batch window — static or controller-picked — is open. Under
-//! an unbatched policy the identical call sequence simply rides one
-//! frame per call. Either way the digest is a pure function of the mix,
-//! never of the policy.
+//! Like [`crate::omr::run`], the driver issues every call through
+//! [`ApiSurface::submit`] and retires only at [`ApiSurface::drain`], so
+//! same-partition bursts can coalesce when a batch window — static or
+//! controller-picked — is open. Under an unbatched policy the identical
+//! call sequence simply rides one frame per call. Either way the digest
+//! is a pure function of the mix, never of the policy.
 //!
 //! [`Policy::freepart_adaptive`]: freepart::Policy::freepart_adaptive
 
-use freepart::{CallError, Runtime};
+use crate::submit_or_record;
+use freepart::CallError;
+use freepart_baselines::ApiSurface;
 use freepart_frameworks::image::Image;
 use freepart_frameworks::{fileio, Value};
 
@@ -88,23 +89,6 @@ pub struct MixResult {
     pub errors: Vec<CallError>,
 }
 
-/// Submits one hooked call asynchronously and peeks at its outcome
-/// without retiring it (see [`crate::batched`]).
-fn acall(
-    rt: &mut Runtime,
-    errors: &mut Vec<CallError>,
-    name: &str,
-    args: &[Value],
-) -> Option<Value> {
-    match rt.call_async(name, args).and_then(|h| rt.promise(h)) {
-        Ok(v) => Some(v),
-        Err(e) => {
-            errors.push(e);
-            None
-        }
-    }
-}
-
 /// A deterministic patterned frame: content varies with `round` so
 /// detection counts are data-dependent, not constant.
 fn frame(round: u32, side: u32) -> Image {
@@ -115,13 +99,13 @@ fn frame(round: u32, side: u32) -> Image {
 }
 
 fn detect(
-    rt: &mut Runtime,
+    rt: &mut dyn ApiSurface,
     errors: &mut Vec<CallError>,
     digest: &mut Vec<f64>,
     target: &Value,
     bonus: f64,
 ) {
-    let marks = acall(rt, errors, "cv2.findContours", std::slice::from_ref(target));
+    let marks = submit_or_record(rt, errors, "cv2.findContours", std::slice::from_ref(target));
     let found = match marks {
         Some(Value::Rects(r)) => r.len() as f64,
         _ => 0.0,
@@ -130,31 +114,32 @@ fn detect(
 }
 
 fn chatty_round(
-    rt: &mut Runtime,
+    rt: &mut dyn ApiSurface,
     errors: &mut Vec<CallError>,
     digest: &mut Vec<f64>,
     round: u32,
     draws: u32,
 ) -> bool {
     let path = format!("/mix/chat-{round}.simg");
-    rt.kernel
+    rt.kernel_mut()
         .fs
         .put(&path, fileio::encode_image(&frame(round, 8), None));
-    let Some(loaded) = acall(rt, errors, "cv2.imread", &[Value::Str(path)]) else {
+    let Some(loaded) = submit_or_record(rt, errors, "cv2.imread", &[Value::Str(path)]) else {
         return false;
     };
     // A short detection chain for the digest, then a Visualizing-state
     // canvas (`cv2.merge`) the draw loop may legally write — drawing on
     // an object defined in another framework state would trip temporal
     // write protection, as it should.
-    let Some(gray) = acall(rt, errors, "cv2.cvtColor", &[loaded]) else {
+    let Some(gray) = submit_or_record(rt, errors, "cv2.cvtColor", &[loaded]) else {
         return false;
     };
-    let Some(thresh) = acall(rt, errors, "cv2.threshold", &[gray]) else {
+    let Some(thresh) = submit_or_record(rt, errors, "cv2.threshold", &[gray]) else {
         return false;
     };
     detect(rt, errors, digest, &thresh, draws as f64);
-    let Some(canvas) = acall(rt, errors, "cv2.merge", std::slice::from_ref(&thresh)) else {
+    let Some(canvas) = submit_or_record(rt, errors, "cv2.merge", std::slice::from_ref(&thresh))
+    else {
         return false;
     };
     // The hot loop: every pair is Visualizing, so under a batch window
@@ -162,7 +147,7 @@ fn chatty_round(
     // bytes, so shm promotion must never trigger here.
     for d in 0..draws {
         let x = ((d * 5 + round) % 7) as i64;
-        acall(
+        submit_or_record(
             rt,
             errors,
             "cv2.rectangle",
@@ -174,7 +159,7 @@ fn chatty_round(
                 Value::I64(2),
             ],
         );
-        acall(
+        submit_or_record(
             rt,
             errors,
             "cv2.putText",
@@ -190,35 +175,34 @@ fn chatty_round(
 }
 
 fn bulk_round(
-    rt: &mut Runtime,
+    rt: &mut dyn ApiSurface,
     errors: &mut Vec<CallError>,
     digest: &mut Vec<f64>,
     round: u32,
     side: u32,
 ) -> bool {
     let path = format!("/mix/bulk-{round}.simg");
-    rt.kernel
+    rt.kernel_mut()
         .fs
         .put(&path, fileio::encode_image(&frame(round, side), None));
-    let Some(img) = acall(rt, errors, "cv2.imread", &[Value::Str(path)]) else {
+    let Some(img) = submit_or_record(rt, errors, "cv2.imread", &[Value::Str(path)]) else {
         return false;
     };
-    let Some(gray) = acall(rt, errors, "cv2.cvtColor", &[img]) else {
+    let Some(gray) = submit_or_record(rt, errors, "cv2.cvtColor", &[img]) else {
         return false;
     };
-    let Some(smooth) = acall(rt, errors, "cv2.GaussianBlur", &[gray]) else {
+    let Some(smooth) = submit_or_record(rt, errors, "cv2.GaussianBlur", &[gray]) else {
         return false;
     };
-    let Some(thresh) = acall(rt, errors, "cv2.threshold", &[smooth]) else {
+    let Some(thresh) = submit_or_record(rt, errors, "cv2.threshold", &[smooth]) else {
         return false;
     };
     detect(rt, errors, digest, &thresh, 0.0);
     true
 }
 
-/// Runs `mix` through the asynchronous submission interface and
-/// returns its policy-independent digest.
-pub fn run_mix(rt: &mut Runtime, mix: &Mix) -> MixResult {
+/// Runs `mix` on any surface and returns its policy-independent digest.
+pub fn run_mix(rt: &mut dyn ApiSurface, mix: &Mix) -> MixResult {
     let mut errors = Vec::new();
     let mut digest = Vec::new();
     let mut completed = 0;
@@ -238,7 +222,7 @@ pub fn run_mix(rt: &mut Runtime, mix: &Mix) -> MixResult {
             round += 1;
         }
     }
-    rt.drain_inflight();
+    rt.drain();
     MixResult {
         completed,
         digest,

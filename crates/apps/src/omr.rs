@@ -11,6 +11,7 @@
 //! `imread` (`CVE-2017-12597` to corrupt `template`, `CVE-2017-14136`
 //! to crash) and a second vulnerability targets `imshow`.
 
+use crate::submit_or_record;
 use freepart::CallError;
 use freepart_baselines::ApiSurface;
 use freepart_frameworks::api::{ApiId, ApiRegistry, ApiType};
@@ -93,7 +94,7 @@ pub struct OmrResult {
     pub results_written: bool,
 }
 
-pub(crate) fn submission_image(sample: u32) -> Image {
+fn submission_image(sample: u32) -> Image {
     let mut img = Image::new(48, 48, 3);
     // Answer marks: filled squares whose positions depend on the sample.
     for b in 0..4u32 {
@@ -118,26 +119,20 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &OmrConfig) -> OmrResult {
     surface.host_data("answer_key", b"ABCDABCDABCDABCD");
     surface.finish_setup();
 
-    // Configuration files loaded through hooked APIs.
+    // Configuration files loaded through hooked APIs. Inputs are staged
+    // through the logged `fs_put`, so a recorded run replays cleanly.
     surface
         .kernel_mut()
-        .fs
-        .put("/omr/template.json", b"{\"qblocks\": 16}".to_vec());
-    surface.kernel_mut().fs.put(
+        .fs_put("/omr/template.json", b"{\"qblocks\": 16}".to_vec());
+    surface.kernel_mut().fs_put(
         "/omr/roster.csv",
         fileio::encode_csv(&[vec![1.0], vec![2.0]]),
     );
     let mut errors = Vec::new();
     let mut scores = Vec::new();
     let mut completed = 0;
-    let mut call = |s: &mut dyn ApiSurface, name: &str, args: &[Value]| -> Option<Value> {
-        match s.call(name, args) {
-            Ok(v) => Some(v),
-            Err(e) => {
-                errors.push(e);
-                None
-            }
-        }
+    let mut call = |s: &mut dyn ApiSurface, name: &str, args: &[Value]| {
+        submit_or_record(s, &mut errors, name, args)
     };
     call(surface, "json.load", &[Value::from("/omr/template.json")]);
     let roster = call(surface, "pd.read_csv", &[Value::from("/omr/roster.csv")]);
@@ -153,9 +148,10 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &OmrConfig) -> OmrResult {
         };
         surface
             .kernel_mut()
-            .fs
-            .put(&path, fileio::encode_image(&img, payload));
+            .fs_put(&path, fileio::encode_image(&img, payload));
 
+        // Every call is submitted without retiring it, so under a batch
+        // window the processing chain and the hot loop coalesce.
         let Some(loaded) = call(surface, "cv2.imread", &[Value::Str(path)]) else {
             continue; // containment event: skip this submission
         };
@@ -228,8 +224,7 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &OmrConfig) -> OmrResult {
             let path = format!("/omr/evil-preview-{sample}.simg");
             surface
                 .kernel_mut()
-                .fs
-                .put(&path, fileio::encode_image(&img, Some(p)));
+                .fs_put(&path, fileio::encode_image(&img, Some(p)));
             call(surface, "cv2.imread", &[Value::Str(path)])
         } else {
             Some(annotated.clone())
@@ -242,9 +237,10 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &OmrConfig) -> OmrResult {
     }
 
     // ---- results ----
-    // The roster may have died with a crashed agent (the paper's §6
-    // state-discrepancy); the application reloads it like any robust
-    // program would.
+    // Retire everything still in flight, then check the roster: it may
+    // have died with a crashed agent (the paper's §6 state-discrepancy);
+    // the application reloads it like any robust program would.
+    surface.drain();
     let mut results_written = false;
     let roster = match roster {
         Some(r)
@@ -268,6 +264,7 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &OmrConfig) -> OmrResult {
             results_written = surface.kernel().fs.exists("/omr/scores.csv");
         }
     }
+    surface.drain();
     OmrResult {
         template,
         template_original: template_bytes,
@@ -401,25 +398,114 @@ mod tests {
         assert_eq!(r.completed, 2, "honest submissions still graded");
     }
 
-    #[test]
-    fn dos_attack_kills_original_but_not_freepart_host() {
-        let payload = freepart_attacks::payloads::dos("CVE-2017-14136");
-        let cfg = OmrConfig {
+    /// The FreePart presets every attack verdict is checked under: the
+    /// same driver, submitted synchronously or batched.
+    fn presets() -> [(&'static str, Policy); 4] {
+        [
+            ("freepart", Policy::freepart()),
+            ("freepart_batched", Policy::freepart_batched()),
+            ("freepart_adaptive", Policy::freepart_adaptive()),
+            ("freepart_full", Policy::freepart_full()),
+        ]
+    }
+
+    fn dos_config() -> OmrConfig {
+        OmrConfig {
             samples: 4,
             boxes_per_sample: 2,
-            evil_sample: Some((1, payload)),
+            evil_sample: Some((1, freepart_attacks::payloads::dos("CVE-2017-14136"))),
             evil_imshow: None,
-        };
+        }
+    }
+
+    #[test]
+    fn dos_attack_kills_original_but_not_freepart_host() {
+        let cfg = dos_config();
         let mut orig = MonolithicRuntime::original(standard_registry());
         let r = run(&mut orig, &cfg);
         assert!(r.completed < 4, "original dies mid-batch");
         assert!(!orig.kernel.is_running(orig.host_pid()));
 
-        let mut fp = Runtime::install(standard_registry(), Policy::freepart());
-        let r = run(&mut fp, &cfg);
-        assert!(fp.kernel.is_running(fp.host_pid()));
-        // With restart, only the malicious submission is lost.
-        assert_eq!(r.completed, 3);
+        for (name, policy) in presets() {
+            let mut fp = Runtime::install(standard_registry(), policy);
+            let r = run(&mut fp, &cfg);
+            assert!(fp.kernel.is_running(fp.host_pid()), "{name}");
+            // With restart, only the malicious submission is lost.
+            assert_eq!(
+                r.completed, 3,
+                "{name}: only the malicious submission is lost"
+            );
+            assert!(r.results_written, "{name}");
+            assert_eq!(fp.in_flight(), 0, "{name}: mission ends fully drained");
+        }
+    }
+
+    #[test]
+    fn batching_keeps_the_scores_and_cuts_frames() {
+        let mut sync_rt = Runtime::install(standard_registry(), Policy::freepart());
+        let sync = run(&mut sync_rt, &OmrConfig::benign(6));
+        let sync_ipc = sync_rt.kernel.metrics().ipc_messages;
+
+        let mut rt = Runtime::install(standard_registry(), Policy::freepart_batched());
+        let batched = run(&mut rt, &OmrConfig::benign(6));
+        let m = rt.kernel.metrics();
+
+        assert_eq!(batched.completed, 6);
+        assert_eq!(batched.scores, sync.scores, "byte-identical grading");
+        assert!(batched.errors.is_empty());
+        assert!(batched.results_written);
+        assert_eq!(rt.in_flight(), 0, "mission ends fully drained");
+        assert!(
+            m.ipc_messages < sync_ipc,
+            "batching must cut frames: {} vs {}",
+            m.ipc_messages,
+            sync_ipc
+        );
+        assert!(m.calls_batched > 0, "calls actually rode in batches");
+    }
+
+    // ---- the composed preset: shm + batching + supervision ----
+
+    #[test]
+    fn full_policy_keeps_the_scores_and_composes_every_mechanism() {
+        let mut sync_rt = Runtime::install(standard_registry(), Policy::freepart());
+        let sync = run(&mut sync_rt, &OmrConfig::benign(6));
+
+        let mut rt = Runtime::install(standard_registry(), Policy::freepart_full());
+        let full = run(&mut rt, &OmrConfig::benign(6));
+        assert_eq!(full.scores, sync.scores, "byte-identical grading");
+        assert!(full.errors.is_empty());
+        assert!(full.results_written);
+        assert_eq!(rt.in_flight(), 0, "mission ends fully drained");
+        // All three mechanisms really engaged at once.
+        assert!(
+            rt.kernel.metrics().calls_batched > 0,
+            "batching engaged under the composed preset"
+        );
+        assert!(
+            rt.stats().shm_grants > 0,
+            "shm promotion engaged under the composed preset"
+        );
+        let loading = rt.partition_of(rt.registry().id_of("cv2.imread").unwrap());
+        assert!(
+            rt.spare_count(loading) > 0,
+            "warm spares pooled under the composed preset"
+        );
+    }
+
+    #[test]
+    fn full_policy_dos_restart_adopts_a_warm_spare() {
+        let mut rt = Runtime::install(standard_registry(), Policy::freepart_full());
+        let loading = rt.partition_of(rt.registry().id_of("cv2.imread").unwrap());
+        let spares_before = rt.spare_count(loading);
+        let r = run(&mut rt, &dos_config());
+        assert!(rt.kernel.is_running(rt.host_pid()));
+        assert_eq!(r.completed, 3, "only the malicious submission is lost");
         assert!(r.results_written);
+        assert!(rt.stats().restarts > 0, "the DoS really killed an agent");
+        assert!(
+            rt.spare_count(loading) < spares_before,
+            "the restart adopted a pooled warm spare"
+        );
     }
 }

@@ -94,10 +94,11 @@ pub fn run_drone_pipelined(rt: &mut Runtime, cfg: &DroneConfig) -> DroneResult {
         //    depends on the read; the capture-object hazard serializes
         //    successive camera reads.
         let write_h = (|| -> Result<CallHandle, CallError> {
-            let h_read = rt.call_async_on(
+            let h_read = rt.call_async_with(
                 loader,
                 "cv2.VideoCapture.read",
                 std::slice::from_ref(&capture),
+                &[],
             )?;
             let frame = rt.promise(h_read)?;
             let h_write = rt.call_async_with(
@@ -137,9 +138,9 @@ pub fn run_drone_pipelined(rt: &mut Runtime, cfg: &DroneConfig) -> DroneResult {
                 &[write_h],
             )?;
             let img = rt.promise(h_img)?;
-            let h_gray = rt.call_async_on(procer, "cv2.cvtColor", &[img])?;
+            let h_gray = rt.call_async_with(procer, "cv2.cvtColor", &[img], &[])?;
             let gray = rt.promise(h_gray)?;
-            let h_hits = rt.call_async_on(procer, "cv2.findContours", &[gray])?;
+            let h_hits = rt.call_async_with(procer, "cv2.findContours", &[gray], &[])?;
             rt.promise(h_hits)?;
             Ok(h_hits)
         })();

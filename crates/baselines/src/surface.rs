@@ -20,6 +20,22 @@ pub trait ApiSurface {
     /// Scheme-specific containment failures surface as [`CallError`].
     fn call(&mut self, name: &str, args: &[Value]) -> Result<Value, CallError>;
 
+    /// Submits a framework API call whose retirement may be deferred to
+    /// [`ApiSurface::drain`], returning its (eagerly computed) result.
+    /// Schemes that retire every call immediately need nothing more.
+    /// Default: [`ApiSurface::call`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ApiSurface::call`].
+    fn submit(&mut self, name: &str, args: &[Value]) -> Result<Value, CallError> {
+        self.call(name, args)
+    }
+
+    /// Retires every call [`ApiSurface::submit`] left outstanding.
+    /// Default: no-op.
+    fn drain(&mut self) {}
+
     /// Allocates host-application critical data (participates in
     /// whatever data protection the scheme offers).
     fn host_data(&mut self, label: &str, bytes: &[u8]) -> ObjectId;
@@ -86,6 +102,18 @@ impl ApiSurface for Runtime {
         Runtime::call(self, name, args)
     }
 
+    /// `call_async` + `promise`: the result is read without retiring
+    /// the call, so consecutive same-partition submissions can coalesce
+    /// into one frame under a batch window.
+    fn submit(&mut self, name: &str, args: &[Value]) -> Result<Value, CallError> {
+        let handle = self.call_async(name, args)?;
+        self.promise(handle)
+    }
+
+    fn drain(&mut self) {
+        self.drain_inflight();
+    }
+
     fn host_data(&mut self, label: &str, bytes: &[u8]) -> ObjectId {
         Runtime::host_data(self, label, bytes)
     }
@@ -146,5 +174,62 @@ impl ApiSurface for Runtime {
 
     fn trace_mark(&mut self, label: &str) {
         Runtime::trace_mark(self, label);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MonolithicRuntime;
+    use freepart::Policy;
+    use freepart_frameworks::registry::standard_registry;
+    use freepart_frameworks::{fileio, image::Image};
+
+    /// A four-call same-partition chain, issued through `issue`.
+    fn chain(
+        surface: &mut dyn ApiSurface,
+        issue: fn(&mut dyn ApiSurface, &str, &[Value]) -> Result<Value, CallError>,
+    ) -> Value {
+        surface
+            .kernel_mut()
+            .fs_put("/in.simg", fileio::encode_image(&Image::new(8, 8, 3), None));
+        let mut cur = issue(surface, "cv2.imread", &[Value::from("/in.simg")]).unwrap();
+        for name in ["cv2.cvtColor", "cv2.GaussianBlur", "cv2.threshold"] {
+            cur = issue(surface, name, &[cur]).unwrap();
+        }
+        cur
+    }
+
+    /// Under a batch window, `submit` must leave calls in flight so
+    /// they can coalesce; a synchronous `submit` would switch batching
+    /// off without changing any result.
+    #[test]
+    fn runtime_submit_defers_retirement_until_drain() {
+        let mut rt = Runtime::install(standard_registry(), Policy::freepart_batched());
+        chain(&mut rt, |s, name, args| s.submit(name, args));
+        assert!(rt.in_flight() > 0, "submit retired its calls");
+        ApiSurface::drain(&mut rt);
+        assert_eq!(rt.in_flight(), 0, "drain left calls in flight");
+        assert!(rt.kernel.metrics().calls_batched > 0, "nothing coalesced");
+    }
+
+    /// A scheme without deferred retirement submits exactly as it calls.
+    #[test]
+    fn monolithic_submit_equals_call() {
+        let mut called = MonolithicRuntime::original(standard_registry());
+        let a = chain(&mut called, |s, name, args| s.call(name, args));
+        let mut submitted = MonolithicRuntime::original(standard_registry());
+        let b = chain(&mut submitted, |s, name, args| s.submit(name, args));
+        submitted.drain();
+        assert_eq!(a, b);
+        assert_eq!(
+            called.fetch_bytes(a.as_obj().unwrap()).unwrap(),
+            submitted.fetch_bytes(b.as_obj().unwrap()).unwrap()
+        );
+        assert_eq!(called.kernel.now_ns(), submitted.kernel.now_ns());
+        assert_eq!(
+            called.kernel.state_digest(),
+            submitted.kernel.state_digest()
+        );
     }
 }

@@ -23,7 +23,7 @@
 
 use freepart::Policy;
 use freepart_apps::mixes::{run_mix, standard_mixes, Mix, MixResult};
-use freepart_apps::{batched, omr};
+use freepart_apps::omr;
 use freepart_baselines::{build, SchemeKind};
 use freepart_bench::experiments::omr_workload;
 use freepart_bench::fmt::pct;
@@ -96,7 +96,7 @@ fn omr_overhead() -> (u64, u64, f64) {
 
     let mut rt = fast_install(Policy::freepart_adaptive());
     rt.kernel.reset_accounting();
-    let r = batched::run_omr_batched(&mut rt, &omr_workload());
+    let r = omr::run(&mut rt, &omr_workload());
     assert!(r.completed > 0 && r.errors.is_empty(), "benign OMR errored");
     let adaptive_ns = rt.kernel.clock().now_ns();
 

@@ -18,7 +18,7 @@
 //! ```
 
 use freepart::{FlushReason, Policy, Runtime};
-use freepart_apps::{batched, omr};
+use freepart_apps::{drone, omr};
 use freepart_baselines::{build, ApiSurface, SchemeKind};
 use freepart_bench::experiments::omr_workload;
 use freepart_bench::fmt::pct;
@@ -176,7 +176,7 @@ fn main() {
     let mut rt = fast_install(Policy::freepart_batched());
     rt.enable_tracing();
     rt.kernel.reset_accounting();
-    let r = batched::run_omr_batched(&mut rt, &omr_workload());
+    let r = omr::run(&mut rt, &omr_workload());
     assert!(r.completed > 0, "workload must actually run");
     let flushes = rt.tracer().batch_flushes();
     assert!(!flushes.is_empty(), "batched run must flush batches");
@@ -282,7 +282,7 @@ fn main() {
     let mut rt = fast_install(Policy::freepart_batched());
     rt.enable_tracing();
     rt.kernel.reset_accounting();
-    let r = batched::run_drone_batched(&mut rt, &drone_workload());
+    let r = drone::run(&mut rt, &drone_workload());
     assert!(r.frames_processed > 0, "workload must actually run");
     let trace = rt.export_chrome_trace();
     let out = workspace_root().join("BENCH_trace.json");

@@ -14,7 +14,7 @@
 //! ```
 
 use freepart::Policy;
-use freepart_apps::{batched, drone, omr};
+use freepart_apps::{drone, omr};
 use freepart_baselines::{build, ApiSurface, SchemeKind};
 use freepart_bench::experiments::omr_workload;
 use freepart_bench::fmt::pct;
@@ -35,13 +35,15 @@ struct Run {
     overhead: f64,
 }
 
-/// Runs one pipeline on a surface and returns its metrics row.
+/// Runs one pipeline on a surface and returns its metrics row; the
+/// global clock is the time measure for every row.
 fn measure(scheme: &'static str, pipeline: &'static str, surface: &mut dyn ApiSurface) -> Run {
     surface.kernel_mut().reset_accounting();
     match pipeline {
         "omr" => {
             let r = omr::run(surface, &omr_workload());
             assert!(r.completed > 0, "workload must actually run");
+            assert!(r.errors.is_empty(), "benign run must be error-free");
         }
         "drone" => {
             let r = drone::run(surface, &drone_workload());
@@ -62,80 +64,47 @@ fn measure(scheme: &'static str, pipeline: &'static str, surface: &mut dyn ApiSu
     }
 }
 
-/// Runs one pipeline through the asynchronous batched-submission driver
-/// under an explicit policy: same calls, same results, coalesced
-/// frames. Serves both the static batched preset and the adaptive
-/// controller (whose warmup knobs *are* the batched preset). The
-/// drivers take the concrete [`freepart::Runtime`] (they drive the
-/// asynchronous interface), so they get their own measure path; the
-/// global clock stays the time measure, as in `measure`.
-fn measure_batched(scheme: &'static str, policy: Policy, pipeline: &'static str) -> Run {
-    let adaptive = policy.adaptive.is_some();
-    let mut rt = fast_install(policy);
-    rt.kernel.reset_accounting();
-    match pipeline {
-        "omr" => {
-            let r = batched::run_omr_batched(&mut rt, &omr_workload());
-            assert!(r.completed > 0, "workload must actually run");
-            assert!(r.errors.is_empty(), "benign run must be error-free");
-        }
-        "drone" => {
-            let r = batched::run_drone_batched(&mut rt, &drone_workload());
-            assert!(r.frames_processed > 0, "workload must actually run");
-        }
-        _ => unreachable!(),
-    }
-    let m = rt.kernel.metrics();
-    assert!(m.calls_batched > 0, "calls actually rode in batches");
-    if adaptive {
-        let decisions = rt.tracer().policy_decisions();
-        assert!(
-            !decisions.is_empty(),
-            "controller must reach decision points"
-        );
-        assert!(
-            decisions.iter().any(|d| d.changed),
-            "controller must actually move a knob on this workload"
-        );
-    }
-    Run {
-        scheme,
-        pipeline,
-        time_ns: rt.kernel.clock().now_ns(),
-        ipc: m.ipc_messages,
-        transfer_bytes: m.total_transfer_bytes(),
-        copy_ops: m.copy_ops,
-        processes: rt.process_count(),
-        overhead: 0.0,
-    }
-}
-
 fn pipeline_runs(pipeline: &'static str, universe: &[ApiId]) -> Vec<Run> {
     let mut rows = Vec::new();
     for kind in SchemeKind::ALL {
         let mut surface = build(kind, standard_registry(), universe);
         rows.push(measure(kind.name(), pipeline, surface.as_mut()));
     }
-    // FreePart with eager (through-host) copies instead of LDC.
-    let mut rt = fast_install(Policy::without_ldc());
-    rows.push(measure("FreePart (no LDC)", pipeline, &mut rt));
-    // FreePart with large payloads page-mapped via shared memory.
-    let mut rt = fast_install(Policy::freepart_shm());
-    rows.push(measure("FreePart (shm)", pipeline, &mut rt));
-    // FreePart with same-partition call bursts coalesced into single
-    // IPC frames.
-    rows.push(measure_batched(
-        "FreePart (batched)",
-        Policy::freepart_batched(),
-        pipeline,
-    ));
-    // FreePart with the closed-loop controller picking transport,
-    // batch window, and pipeline window per partition at runtime.
-    rows.push(measure_batched(
-        "FreePart (adaptive)",
-        Policy::freepart_adaptive(),
-        pipeline,
-    ));
+    // FreePart with eager (through-host) copies instead of LDC; with
+    // large payloads page-mapped via shared memory; with same-partition
+    // call bursts coalesced into single IPC frames; and with the
+    // closed-loop controller picking transport, batch window, and
+    // pipeline window per partition at runtime.
+    for (scheme, policy) in [
+        ("FreePart (no LDC)", Policy::without_ldc()),
+        ("FreePart (shm)", Policy::freepart_shm()),
+        ("FreePart (batched)", Policy::freepart_batched()),
+        ("FreePart (adaptive)", Policy::freepart_adaptive()),
+    ] {
+        // The controller starts from the batched prior, so both of the
+        // last two rows must really coalesce calls.
+        let batched = policy.batch_window.is_some() || policy.adaptive.is_some();
+        let adaptive = policy.adaptive.is_some();
+        let mut rt = fast_install(policy);
+        rows.push(measure(scheme, pipeline, &mut rt));
+        if batched {
+            assert!(
+                rt.kernel.metrics().calls_batched > 0,
+                "calls actually rode in batches"
+            );
+        }
+        if adaptive {
+            let decisions = rt.tracer().policy_decisions();
+            assert!(
+                !decisions.is_empty(),
+                "controller must reach decision points"
+            );
+            assert!(
+                decisions.iter().any(|d| d.changed),
+                "controller must actually move a knob on this workload"
+            );
+        }
+    }
 
     let base_ns = rows
         .iter()

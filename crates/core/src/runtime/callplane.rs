@@ -95,7 +95,10 @@ impl Runtime {
 
     /// Calls a framework API by name on a specific application thread:
     /// the call routes to *that thread's* agent set and drives that
-    /// thread's framework-state machine.
+    /// thread's framework-state machine. Exactly equivalent to
+    /// [`Runtime::call_async_with`] followed by an immediate
+    /// [`Runtime::wait`] — the async machinery adds zero virtual
+    /// nanoseconds to the synchronous path.
     ///
     /// # Errors
     ///
@@ -110,32 +113,6 @@ impl Runtime {
             .reg
             .id_of(name)
             .ok_or_else(|| CallError::UnknownApi(name.to_owned()))?;
-        self.call_id_on(thread, api, args)
-    }
-
-    /// Calls a framework API by id on the main thread.
-    ///
-    /// # Errors
-    ///
-    /// See [`CallError`].
-    pub fn call_id(&mut self, api: ApiId, args: &[Value]) -> Result<Value, CallError> {
-        self.call_id_on(ThreadId::MAIN, api, args)
-    }
-
-    /// Calls a framework API by id on a specific thread. Exactly
-    /// equivalent to [`Runtime::call_async_id_on`] followed by an
-    /// immediate [`Runtime::wait`] — the async machinery adds zero
-    /// virtual nanoseconds to the synchronous path.
-    ///
-    /// # Errors
-    ///
-    /// See [`CallError`].
-    pub fn call_id_on(
-        &mut self,
-        thread: ThreadId,
-        api: ApiId,
-        args: &[Value],
-    ) -> Result<Value, CallError> {
         let handle = self.submit(thread, api, args, &[])?;
         self.wait(handle)
     }
@@ -152,21 +129,7 @@ impl Runtime {
     /// See [`CallError`]. Submission-time errors (unknown API/thread)
     /// surface here; execution errors surface from [`Runtime::wait`].
     pub fn call_async(&mut self, name: &str, args: &[Value]) -> Result<CallHandle, CallError> {
-        self.call_async_on(ThreadId::MAIN, name, args)
-    }
-
-    /// Submits a hooked call on a specific thread without waiting.
-    ///
-    /// # Errors
-    ///
-    /// See [`Runtime::call_async`].
-    pub fn call_async_on(
-        &mut self,
-        thread: ThreadId,
-        name: &str,
-        args: &[Value],
-    ) -> Result<CallHandle, CallError> {
-        self.call_async_with(thread, name, args, &[])
+        self.call_async_with(ThreadId::MAIN, name, args, &[])
     }
 
     /// Submits a hooked call with explicit dependencies: the call's
@@ -192,21 +155,6 @@ impl Runtime {
             .reg
             .id_of(name)
             .ok_or_else(|| CallError::UnknownApi(name.to_owned()))?;
-        self.submit(thread, api, args, deps)
-    }
-
-    /// Submits a hooked call by API id (see [`Runtime::call_async_with`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Runtime::call_async`].
-    pub fn call_async_id_on(
-        &mut self,
-        thread: ThreadId,
-        api: ApiId,
-        args: &[Value],
-        deps: &[CallHandle],
-    ) -> Result<CallHandle, CallError> {
         self.submit(thread, api, args, deps)
     }
 
@@ -349,7 +297,7 @@ impl Runtime {
     /// window enforcement, then one (crash-retried) delivery attempt.
     /// The call is fully executed agent-side when this returns; only
     /// the response leg and host bookkeeping remain for `wait`.
-    fn submit(
+    pub(super) fn submit(
         &mut self,
         thread: ThreadId,
         api: ApiId,

@@ -214,7 +214,9 @@ impl Runtime {
             let sched = self.pool_sched.as_ref().expect("pooled");
             let foreign = (sched.served(pool.0) - t.pool_served_at)
                 .saturating_sub(sched.served_cost(pool.0, tenant.0) - t.tenant_served_at);
-            let outcome = self.call_id_on(tenant.thread(), api, &args);
+            let outcome = self
+                .submit(tenant.thread(), api, &args, &[])
+                .and_then(|h| self.wait(h));
             let now = self.kernel.now_ns();
             let t = self.tickets.get_mut(&ticket_id).expect("queued ticket");
             let latency = now.saturating_sub(t.enqueue_ns);

@@ -107,15 +107,16 @@ fn pipelined_cross_thread_overlap_shrinks_the_makespan() {
     let mut handles = Vec::new();
     for i in 0..N {
         let h = rt
-            .call_async_on(
+            .call_async_with(
                 ThreadId::MAIN,
                 "cv2.imread",
                 &[Value::Str(format!("/in-{i}.simg"))],
+                &[],
             )
             .unwrap();
         let img = rt.promise(h).unwrap();
         handles.push(
-            rt.call_async_on(proc_t, "cv2.GaussianBlur", &[img])
+            rt.call_async_with(proc_t, "cv2.GaussianBlur", &[img], &[])
                 .unwrap(),
         );
     }

@@ -48,7 +48,7 @@ fn run_freepart_with(policy: Policy, picks: &[u16], side: u32) -> (Vec<u8>, Runt
     let filters: Vec<_> = reg
         .iter()
         .filter(|s| matches!(s.kind, ApiKind::Filter(_)))
-        .map(|s| s.id)
+        .map(|s| s.name.clone())
         .collect();
     let mut rt = Runtime::install(standard_registry(), policy);
     rt.kernel.fs.put(
@@ -57,8 +57,8 @@ fn run_freepart_with(policy: Policy, picks: &[u16], side: u32) -> (Vec<u8>, Runt
     );
     let mut cur = rt.call("cv2.imread", &[Value::from("/in.simg")]).unwrap();
     for p in picks {
-        let api = filters[*p as usize % filters.len()];
-        cur = rt.call_id(api, &[cur]).unwrap();
+        let api = &filters[*p as usize % filters.len()];
+        cur = rt.call(api, &[cur]).unwrap();
     }
     let bytes = rt.fetch_bytes(cur.as_obj().unwrap()).unwrap();
     (bytes, rt)
@@ -71,7 +71,7 @@ fn run_freepart_async(picks: &[u16], side: u32) -> (Vec<u8>, Runtime) {
     let filters: Vec<_> = reg
         .iter()
         .filter(|s| matches!(s.kind, ApiKind::Filter(_)))
-        .map(|s| s.id)
+        .map(|s| s.name.clone())
         .collect();
     let mut rt = Runtime::install(standard_registry(), Policy::freepart());
     rt.kernel.fs.put(
@@ -84,10 +84,8 @@ fn run_freepart_async(picks: &[u16], side: u32) -> (Vec<u8>, Runtime) {
         .unwrap();
     let mut cur = rt.promise(h).unwrap();
     for p in picks {
-        let api = filters[*p as usize % filters.len()];
-        let h = rt
-            .call_async_id_on(freepart::ThreadId::MAIN, api, &[cur], &[])
-            .unwrap();
+        let api = &filters[*p as usize % filters.len()];
+        let h = rt.call_async(api, &[cur]).unwrap();
         cur = rt.promise(h).unwrap();
     }
     rt.drain_inflight();
@@ -109,7 +107,7 @@ fn run_freepart_batched(
     let filters: Vec<_> = reg
         .iter()
         .filter(|s| matches!(s.kind, ApiKind::Filter(_)))
-        .map(|s| s.id)
+        .map(|s| s.name.clone())
         .collect();
     let policy = Policy {
         batch_window: Some(window),
@@ -125,10 +123,8 @@ fn run_freepart_batched(
         .unwrap();
     let mut cur = rt.promise(h).unwrap();
     for p in picks {
-        let api = filters[*p as usize % filters.len()];
-        let h = rt
-            .call_async_id_on(freepart::ThreadId::MAIN, api, &[cur], &[])
-            .unwrap();
+        let api = &filters[*p as usize % filters.len()];
+        let h = rt.call_async(api, &[cur]).unwrap();
         cur = rt.promise(h).unwrap();
     }
     rt.drain_inflight();
@@ -144,7 +140,7 @@ fn run_freepart_adaptive(cfg: AdaptiveConfig, picks: &[u16], side: u32) -> (Vec<
     let filters: Vec<_> = reg
         .iter()
         .filter(|s| matches!(s.kind, ApiKind::Filter(_)))
-        .map(|s| s.id)
+        .map(|s| s.name.clone())
         .collect();
     let policy = Policy {
         adaptive: Some(cfg),
@@ -160,10 +156,8 @@ fn run_freepart_adaptive(cfg: AdaptiveConfig, picks: &[u16], side: u32) -> (Vec<
         .unwrap();
     let mut cur = rt.promise(h).unwrap();
     for p in picks {
-        let api = filters[*p as usize % filters.len()];
-        let h = rt
-            .call_async_id_on(freepart::ThreadId::MAIN, api, &[cur], &[])
-            .unwrap();
+        let api = &filters[*p as usize % filters.len()];
+        let h = rt.call_async(api, &[cur]).unwrap();
         cur = rt.promise(h).unwrap();
     }
     rt.drain_inflight();
@@ -302,7 +296,7 @@ proptest! {
         let filters: Vec<_> = reg
             .iter()
             .filter(|s| matches!(s.kind, ApiKind::Filter(_)))
-            .map(|s| s.id)
+            .map(|s| s.name.clone())
             .collect();
         let mut rt2 = Runtime::install(standard_registry(), Policy::without_ldc());
         rt2.kernel.fs.put(
@@ -311,8 +305,8 @@ proptest! {
         );
         let mut cur = rt2.call("cv2.imread", &[Value::from("/in.simg")]).unwrap();
         for p in &picks {
-            let api = filters[*p as usize % filters.len()];
-            cur = rt2.call_id(api, &[cur]).unwrap();
+            let api = &filters[*p as usize % filters.len()];
+            cur = rt2.call(api, &[cur]).unwrap();
         }
         let without = rt2.fetch_bytes(cur.as_obj().unwrap()).unwrap();
         prop_assert_eq!(with_ldc, without);
@@ -373,7 +367,7 @@ proptest! {
             let filters: Vec<_> = reg
                 .iter()
                 .filter(|s| matches!(s.kind, ApiKind::Filter(_)))
-                .map(|s| s.id)
+                .map(|s| s.name.clone())
                 .collect();
             let mut rt = Runtime::install(standard_registry(), policy);
             rt.kernel.fs.put(
@@ -396,8 +390,8 @@ proptest! {
                         .call("cv2.imread", &[Value::from("/in.simg")])
                         .map_err(|e| e.to_string())?;
                     for p in &picks {
-                        let api = filters[*p as usize % filters.len()];
-                        cur = rt.call_id(api, &[cur]).map_err(|e| e.to_string())?;
+                        let api = &filters[*p as usize % filters.len()];
+                        cur = rt.call(api, &[cur]).map_err(|e| e.to_string())?;
                     }
                     rt.fetch_bytes(cur.as_obj().unwrap())
                         .map_err(|e| e.to_string())
