@@ -24,7 +24,6 @@
 use crate::drone::{DroneConfig, DroneResult};
 use freepart::{CallError, CallHandle, Runtime};
 use freepart_frameworks::{ObjectId, Value};
-use freepart_simos::device::Camera;
 
 /// Issues frame `i`'s steering command from its detection handle.
 fn steer(rt: &mut Runtime, speed: ObjectId, h: CallHandle, result: &mut DroneResult) {
@@ -52,7 +51,10 @@ fn steer(rt: &mut Runtime, speed: ObjectId, h: CallHandle, result: &mut DroneRes
 /// [`freepart_simos::Kernel::makespan_ns`].
 pub fn run_drone_pipelined(rt: &mut Runtime, cfg: &DroneConfig) -> DroneResult {
     if rt.kernel.camera.is_none() {
-        rt.kernel.camera = Some(Camera::new(77, freepart_frameworks::exec::CAMERA_FRAME_LEN));
+        // Logged attach, as in the synchronous mission: a recorded run
+        // replays frame-identical.
+        rt.kernel
+            .attach_camera(77, freepart_frameworks::exec::CAMERA_FRAME_LEN);
     }
     let speed_original = 0.3f64.to_le_bytes().to_vec();
     let speed = rt.host_data("self.speed", &speed_original);
@@ -121,7 +123,7 @@ pub fn run_drone_pipelined(rt: &mut Runtime, cfg: &DroneConfig) -> DroneResult {
         if let Some((at, payload)) = &cfg.evil_frame {
             if *at == frame_idx {
                 let img = freepart_frameworks::image::Image::new(16, 16, 3);
-                rt.kernel.fs.put(
+                rt.kernel.fs_put(
                     &staged,
                     freepart_frameworks::fileio::encode_image(&img, Some(payload)),
                 );

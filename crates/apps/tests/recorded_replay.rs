@@ -5,6 +5,7 @@
 use freepart::{Policy, Runtime};
 use freepart_apps::drone::{self, DroneConfig};
 use freepart_apps::omr::{self, OmrConfig};
+use freepart_apps::pipeline::run_drone_pipelined;
 use freepart_frameworks::registry::standard_registry;
 use freepart_simos::replay::replay;
 
@@ -57,5 +58,19 @@ fn recorded_drone_run_replays_clean() {
         let r = drone::run(&mut rt, &cfg);
         assert_eq!(r.frames_processed, 4, "{name}");
         assert_replays_clean(&format!("drone/{name}"), &mut rt);
+    }
+}
+
+#[test]
+fn recorded_pipelined_drone_run_replays_clean() {
+    for (name, policy) in recorded_presets() {
+        let mut rt = Runtime::install(standard_registry(), policy);
+        let cfg = DroneConfig {
+            frames: 4,
+            evil_frame: None,
+        };
+        let r = run_drone_pipelined(&mut rt, &cfg);
+        assert_eq!(r.frames_processed, 4, "{name}");
+        assert_replays_clean(&format!("drone-pipelined/{name}"), &mut rt);
     }
 }

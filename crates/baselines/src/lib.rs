@@ -14,5 +14,5 @@ pub mod schemes;
 pub mod surface;
 
 pub use monolithic::MonolithicRuntime;
-pub use schemes::{build, SchemeKind};
+pub use schemes::{build, policy, SchemeKind};
 pub use surface::ApiSurface;

@@ -90,65 +90,61 @@ fn baseline_common(policy: Policy) -> Policy {
     }
 }
 
+/// The runtime policy a process-based scheme installs with (`None` for
+/// the single-process schemes). `app_universe` is the application's API
+/// set — the per-API scheme gives each of them its own process.
+pub fn policy(kind: SchemeKind, reg: &ApiRegistry, app_universe: &[ApiId]) -> Option<Policy> {
+    let baseline = match kind {
+        SchemeKind::Original | SchemeKind::MemoryBased => return None,
+        SchemeKind::FreePart => return Some(Policy::freepart()),
+        SchemeKind::CodeApi => Policy {
+            plan: code_based_plan(),
+            lazy_data_copy: true,
+            sandbox: SandboxLevel::PerAgent,
+            host_data: HostDataPlacement::WithType(ApiType::DataLoading),
+            ..Policy::default()
+        },
+        SchemeKind::CodeApiData => Policy {
+            plan: code_based_plan(),
+            lazy_data_copy: true,
+            sandbox: SandboxLevel::PerAgent,
+            host_data: HostDataPlacement::OwnProcessEach,
+            transport: ChannelTransport::Pipe,
+            ..Policy::default()
+        },
+        SchemeKind::LibraryEntire => Policy {
+            plan: PartitionPlan::single(),
+            lazy_data_copy: true,
+            sandbox: SandboxLevel::CoarseUnion,
+            host_data: HostDataPlacement::Host,
+            ..Policy::default()
+        },
+        SchemeKind::LibraryPerApi => Policy {
+            plan: PartitionPlan::per_api(app_universe.iter().copied(), reg),
+            lazy_data_copy: false,
+            sandbox: SandboxLevel::PerAgent,
+            host_data: HostDataPlacement::Host,
+            transport: ChannelTransport::Pipe,
+            ..Policy::default()
+        },
+    };
+    Some(baseline_common(baseline))
+}
+
 /// Builds a runtime for `kind`. `app_universe` is the application's API
 /// set — the per-API scheme gives each of them its own process.
 pub fn build(kind: SchemeKind, reg: ApiRegistry, app_universe: &[ApiId]) -> Box<dyn ApiSurface> {
-    match kind {
-        SchemeKind::Original => Box::new(MonolithicRuntime::original(reg)),
-        SchemeKind::MemoryBased => Box::new(MonolithicRuntime::memory_based(reg)),
-        SchemeKind::CodeApi => {
-            let policy = baseline_common(Policy {
-                plan: code_based_plan(),
-                lazy_data_copy: true,
-                sandbox: SandboxLevel::PerAgent,
-                host_data: HostDataPlacement::WithType(ApiType::DataLoading),
-                ..Policy::default()
-            });
-            Box::new(Named(Runtime::install(reg, policy), "Code-based: API"))
-        }
-        SchemeKind::CodeApiData => {
-            let policy = baseline_common(Policy {
-                plan: code_based_plan(),
-                lazy_data_copy: true,
-                sandbox: SandboxLevel::PerAgent,
-                host_data: HostDataPlacement::OwnProcessEach,
-                transport: ChannelTransport::Pipe,
-                ..Policy::default()
-            });
-            Box::new(Named(
-                Runtime::install(reg, policy),
-                "Code-based: API & Data",
-            ))
-        }
-        SchemeKind::LibraryEntire => {
-            let policy = baseline_common(Policy {
-                plan: PartitionPlan::single(),
-                lazy_data_copy: true,
-                sandbox: SandboxLevel::CoarseUnion,
-                host_data: HostDataPlacement::Host,
-                ..Policy::default()
-            });
-            Box::new(Named(
-                Runtime::install(reg, policy),
-                "Library-based: Entire Library",
-            ))
-        }
-        SchemeKind::LibraryPerApi => {
-            let plan = PartitionPlan::per_api(app_universe.iter().copied(), &reg);
-            let policy = baseline_common(Policy {
-                plan,
-                lazy_data_copy: false,
-                sandbox: SandboxLevel::PerAgent,
-                host_data: HostDataPlacement::Host,
-                transport: ChannelTransport::Pipe,
-                ..Policy::default()
-            });
-            Box::new(Named(
-                Runtime::install(reg, policy),
-                "Library-based: Individual APIs",
-            ))
-        }
-        SchemeKind::FreePart => Box::new(Runtime::install(reg, Policy::freepart())),
+    let Some(policy) = policy(kind, &reg, app_universe) else {
+        return match kind {
+            SchemeKind::MemoryBased => Box::new(MonolithicRuntime::memory_based(reg)),
+            _ => Box::new(MonolithicRuntime::original(reg)),
+        };
+    };
+    let rt = Runtime::install(reg, policy);
+    if kind == SchemeKind::FreePart {
+        Box::new(rt)
+    } else {
+        Box::new(Named(rt, kind.name()))
     }
 }
 

@@ -47,7 +47,6 @@ pub use policy::{
     AdaptiveConfig, ChannelTransport, HostDataPlacement, Policy, PoolConfig, RestartBudget,
     RestartPolicy, SandboxLevel,
 };
-pub use runtime::transport::{Transport, TransportCtx};
 pub use runtime::{
     AdaptiveKnobs, Agent, CallError, CallHandle, Runtime, RuntimeStats, TenantHandle, TenantId,
     ThreadId,

@@ -20,9 +20,10 @@ pub enum SandboxLevel {
 }
 
 /// What kind of *channel* carries bytes that do get copied across
-/// process boundaries. (Not to be confused with the object-payload
-/// [`Transport`](crate::runtime::transport::Transport) trait, which
-/// decides *whether* a payload is copied at all.)
+/// process boundaries. (Not to be confused with the runtime's
+/// per-object payload delivery — eager, lazy, or shared-memory — which
+/// decides *whether* a payload is copied at all; see
+/// [`Policy::lazy_data_copy`] and [`Policy::shm_threshold`].)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelTransport {
     /// FreePart's shared-memory rings: one memcpy per move.

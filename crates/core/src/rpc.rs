@@ -275,11 +275,6 @@ impl CompletionCache {
         }
     }
 
-    /// The tenant a journaled completion belongs to, when tagged.
-    pub fn tenant_of(&self, seq: u64) -> Option<u32> {
-        self.tenants.get(&seq).copied()
-    }
-
     /// Journal sequence numbers currently held for one tenant.
     pub fn tenant_entries(&self, tenant: u32) -> Vec<u64> {
         self.tenants

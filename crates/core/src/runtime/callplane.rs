@@ -7,7 +7,7 @@ use crate::partition::PartitionId;
 use crate::policy::RestartPolicy;
 use crate::rpc::{BatchRequest, BatchResponse};
 use crate::state::FrameworkState;
-use crate::trace::{AuditRecord, CallOutcome, FlushReason, SpanEvent, SpanPhase};
+use crate::trace::{AuditRecord, CallOutcome, FlushReason, SpanPhase};
 use freepart_frameworks::api::ApiId;
 use freepart_frameworks::{ObjectId, Value};
 use std::collections::BTreeSet;
@@ -268,11 +268,6 @@ impl Runtime {
         self.kernel.set_time_context(Some(self.host));
     }
 
-    /// Whether per-process timelines are active.
-    pub fn pipelining_enabled(&self) -> bool {
-        self.pipelining
-    }
-
     /// Bounds how many calls may be in flight per partition (min 1);
     /// submission force-retires the oldest beyond the window.
     pub fn set_pipeline_window(&mut self, window: usize) {
@@ -398,7 +393,6 @@ impl Runtime {
             }
             if let Some((t0, pages0, prot0)) = before {
                 if to != from {
-                    let now = self.kernel.now_ns();
                     let pages = self.kernel.metrics().protected_pages - pages0;
                     let prot1 = self.states[&thread].protected().len();
                     let locked = newly.unwrap_or(0);
@@ -417,16 +411,8 @@ impl Runtime {
                         },
                         Some(commits),
                     );
-                    self.tracer.span(SpanEvent {
-                        phase: SpanPhase::Transition,
-                        seq,
-                        api: Some(api),
-                        partition: None,
-                        thread,
-                        start_ns: t0,
-                        end_ns: now,
-                        bytes: 0,
-                    });
+                    let span = (Some(api), None);
+                    self.trace_span(SpanPhase::Transition, seq, span, thread, t0, 0);
                 }
             }
             self.partition_of(api)
@@ -589,7 +575,7 @@ impl Runtime {
                 if send_ok {
                     let _ = self.kernel.ipc_recv(agent_pid, chan);
                 }
-                let resp_t0 = if tracing { self.kernel.now_ns() } else { 0 };
+                let resp_t0 = self.trace_t0();
                 let bresp = BatchResponse {
                     members: b.resp_frames,
                 }
@@ -652,19 +638,9 @@ impl Runtime {
             if let Some(chan) = self.agents.get(&partition).map(|a| a.chan) {
                 let _ = self.kernel.ipc_recv(self.host, chan);
             }
-            if tracing {
-                let now = self.kernel.now_ns();
-                self.tracer.span(SpanEvent {
-                    phase: SpanPhase::Response,
-                    seq,
-                    api: Some(inf.api),
-                    partition: Some(partition),
-                    thread: inf.thread,
-                    start_ns: inf.resp_t0,
-                    end_ns: now,
-                    bytes: inf.resp_len,
-                });
-            }
+            let span = (Some(inf.api), Some(partition));
+            let (t0, bytes) = (inf.resp_t0, inf.resp_len);
+            self.trace_span(SpanPhase::Response, seq, span, inf.thread, t0, bytes);
         }
         // The host will never re-request this seq: let the agent prune
         // its completion journal up to the watermark. Every batch member
@@ -686,7 +662,6 @@ impl Runtime {
                 snapshot_due = self.policy.snapshot_interval > 0
                     && agent.calls.is_multiple_of(self.policy.snapshot_interval);
             }
-            self.stats.rpc_calls += 1;
             self.call_log.push(inf.api);
 
             // Ship pinned objects back to their data processes.
@@ -706,16 +681,8 @@ impl Runtime {
         }
         if tracing {
             let end = self.kernel.now_ns();
-            self.tracer.span(SpanEvent {
-                phase: SpanPhase::Call,
-                seq,
-                api: Some(inf.api),
-                partition: Some(partition),
-                thread: inf.thread,
-                start_ns: inf.call_t0,
-                end_ns: end,
-                bytes: 0,
-            });
+            let span = (Some(inf.api), Some(partition));
+            self.trace_span(SpanPhase::Call, seq, span, inf.thread, inf.call_t0, 0);
             let kind = match &outcome {
                 Ok(_) => CallOutcome::Completed,
                 Err(CallError::Framework(_)) => CallOutcome::Errored,
@@ -732,16 +699,8 @@ impl Runtime {
             // span: first member's hook entry to here, so it spans every
             // member `call` span. `bytes` carries the member count.
             if let Some((t0, count)) = self.batch_spans.remove(&seq) {
-                self.tracer.span(SpanEvent {
-                    phase: SpanPhase::Batch,
-                    seq,
-                    api: None,
-                    partition: Some(partition),
-                    thread: inf.thread,
-                    start_ns: t0,
-                    end_ns: end,
-                    bytes: count as u64,
-                });
+                let span = (None, Some(partition));
+                self.trace_span(SpanPhase::Batch, seq, span, inf.thread, t0, count as u64);
             }
         }
         self.retired.insert(seq, (outcome, inf.complete_ns));

@@ -378,11 +378,6 @@ impl Runtime {
         }
     }
 
-    /// Whether the adaptive controller is driving this runtime's knobs.
-    pub fn adaptive_enabled(&self) -> bool {
-        self.controller.is_some()
-    }
-
     /// The knobs currently in force for `partition` under the adaptive
     /// controller (`None` when the controller is off).
     pub fn adaptive_knobs(&self, partition: PartitionId) -> Option<AdaptiveKnobs> {

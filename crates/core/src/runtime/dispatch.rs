@@ -8,7 +8,7 @@ use super::{CallError, CallHandle, Runtime, ThreadId};
 use crate::partition::PartitionId;
 use crate::policy::{RestartPolicy, SandboxLevel};
 use crate::rpc::{Request, Response};
-use crate::trace::{SpanEvent, SpanPhase};
+use crate::trace::SpanPhase;
 use freepart_frameworks::api::ApiId;
 use freepart_frameworks::exec::execute;
 use freepart_frameworks::{ApiCtx, ObjectId, Value};
@@ -56,8 +56,8 @@ impl Runtime {
         // flush (one IPC frame for N calls) instead of sending it now;
         // execution stays eager either way.
         let batched = self.batch_window_for(partition).is_some();
-        let tracing = self.tracer.enabled();
-        let marshal_t0 = if tracing { self.kernel.now_ns() } else { 0 };
+        let span = (Some(api), Some(partition));
+        let marshal_t0 = self.trace_t0();
         let req = Request {
             seq,
             api,
@@ -79,19 +79,7 @@ impl Runtime {
                 .expect("request just sent");
             Request::decode(&delivered).expect("self-encoded frame")
         };
-        if tracing {
-            let now = self.kernel.now_ns();
-            self.tracer.span(SpanEvent {
-                phase: SpanPhase::Marshal,
-                seq,
-                api: Some(api),
-                partition: Some(partition),
-                thread,
-                start_ns: marshal_t0,
-                end_ns: now,
-                bytes: frame_len,
-            });
-        }
+        self.trace_span(SpanPhase::Marshal, seq, span, thread, marshal_t0, frame_len);
 
         // Exactly-once: a re-delivered request whose execution already
         // completed (the agent died in the response window) is answered
@@ -103,22 +91,10 @@ impl Runtime {
             // The host has its answer: the journal entry is acked (and
             // prunable) the moment the replay is served.
             agent.cache.ack(req.seq);
-            self.stats.rpc_calls += 1;
             self.call_log.push(api);
-            if tracing {
-                let now = self.kernel.now_ns();
-                self.tracer.note_journal_hit(seq);
-                self.tracer.span(SpanEvent {
-                    phase: SpanPhase::Replay,
-                    seq,
-                    api: Some(api),
-                    partition: Some(partition),
-                    thread,
-                    start_ns: now,
-                    end_ns: now,
-                    bytes: 0,
-                });
-            }
+            self.tracer.note_journal_hit(seq);
+            let now = self.trace_t0();
+            self.trace_span(SpanPhase::Replay, seq, span, thread, now, 0);
             if self.policy.sandbox != SandboxLevel::None && !self.agents[&partition].sealed {
                 self.seal_agent(partition);
             }
@@ -174,31 +150,19 @@ impl Runtime {
         }
 
         // --- execute in the agent's process context ---
-        let exec_t0 = if tracing { self.kernel.now_ns() } else { 0 };
+        let exec_t0 = self.trace_t0();
         let watermark = self.objects.next_id_watermark();
         let mut ctx = ApiCtx::new(&mut self.kernel, &mut self.objects, agent_pid);
         let exec_result = execute(&self.reg, api, &req.args, &mut ctx);
         let exploit_log = std::mem::take(&mut ctx.exploit_log);
         drop(ctx);
         self.exploit_log.extend(exploit_log);
-        if tracing {
-            let now = self.kernel.now_ns();
-            self.tracer.span(SpanEvent {
-                phase: SpanPhase::Execute,
-                seq,
-                api: Some(api),
-                partition: Some(partition),
-                thread,
-                start_ns: exec_t0,
-                end_ns: now,
-                bytes: 0,
-            });
-        }
+        self.trace_span(SpanPhase::Execute, seq, span, thread, exec_t0, 0);
 
         let result = match exec_result {
             Ok(v) => v,
             Err(e) if e.is_crash() => {
-                if tracing {
+                if self.tracer.enabled() {
                     self.audit_agent_crash(partition, seq, api, agent_pid, thread);
                 }
                 return Err(CallError::AgentCrashed(partition));
@@ -214,37 +178,17 @@ impl Runtime {
         }
 
         // --- eager copy-back without LDC ---
+        // Shm-resident payloads never copy back: the host's view of the
+        // segment is the object.
         if !self.policy.lazy_data_copy {
-            let mut back: Vec<ObjectId> = needed.clone();
-            back.extend(result.as_obj());
+            let back: Vec<ObjectId> = needed.iter().copied().chain(result.as_obj()).collect();
             for obj in back {
-                if let Some(meta) = self.objects.meta(obj) {
-                    // Shm-resident payloads never copy back: the host's
-                    // view of the segment is the object.
-                    if meta.home == agent_pid && meta.shm.is_none() {
-                        let len = meta.len();
-                        let copy_t0 = if tracing { self.kernel.now_ns() } else { 0 };
-                        self.objects
-                            .migrate_direct(&mut self.kernel, obj, self.host)
-                            .map_err(|_| CallError::StateLost(obj))?;
-                        self.stats.host_copies += 1;
-                        self.charge_transport(len);
-                        if tracing {
-                            let now = self.kernel.now_ns();
-                            self.tracer.add_eager_bytes(seq, len);
-                            self.tracer.span(SpanEvent {
-                                phase: SpanPhase::DataCopy,
-                                seq,
-                                api: Some(api),
-                                partition: Some(partition),
-                                thread,
-                                start_ns: copy_t0,
-                                end_ns: now,
-                                bytes: len,
-                            });
-                        }
-                        self.reapply_all(obj);
-                    }
+                if self
+                    .objects
+                    .meta(obj)
+                    .is_some_and(|m| m.home == agent_pid && m.shm.is_none())
+                {
+                    self.copy_back(seq, obj, self.host, thread, span)?;
                 }
             }
         }
@@ -256,7 +200,7 @@ impl Runtime {
         // tenant's capability slots for everything the call legitimately
         // touched or created — the agent-side record of which namespaces
         // it has admitted, carried across restarts with the journal.
-        let journal_t0 = if tracing { self.kernel.now_ns() } else { 0 };
+        let journal_t0 = self.trace_t0();
         let tenant_tag = (self.pooled() && thread != ThreadId::MAIN).then_some(thread.0);
         {
             let agent = self.agents.get_mut(&partition).expect("agent exists");
@@ -270,19 +214,7 @@ impl Runtime {
                 slots.extend(result.as_obj());
             }
         }
-        if tracing {
-            let now = self.kernel.now_ns();
-            self.tracer.span(SpanEvent {
-                phase: SpanPhase::Journal,
-                seq,
-                api: Some(api),
-                partition: Some(partition),
-                thread,
-                start_ns: journal_t0,
-                end_ns: now,
-                bytes: 0,
-            });
-        }
+        self.trace_span(SpanPhase::Journal, seq, span, thread, journal_t0, 0);
 
         // One-shot injected crash in exactly that window (test hook).
         if self.crash_before_response == Some(partition) {
@@ -295,7 +227,7 @@ impl Runtime {
         // In batched mode the frame is buffered too: the batch's single
         // response frame is sent at flush and consumed when the batch's
         // first member retires.
-        let resp_t0 = if tracing { self.kernel.now_ns() } else { 0 };
+        let resp_t0 = self.trace_t0();
         let resp = Response {
             seq: req.seq,
             result: result.clone(),

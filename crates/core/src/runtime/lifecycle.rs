@@ -13,7 +13,7 @@ use super::{Agent, RestartGovernor, Runtime, SnapshotEntry, SnapshotPlace, Threa
 use crate::partition::PartitionId;
 use crate::policy::SandboxLevel;
 use crate::syscall_policy::build_filter;
-use crate::trace::{AuditRecord, SpanEvent, SpanPhase};
+use crate::trace::{AuditRecord, SpanPhase};
 use freepart_frameworks::api::ApiId;
 use freepart_frameworks::{ObjectId, ObjectKind, ObjectMeta};
 use freepart_simos::{FaultKind, Perms, Pid, ProcessState};
@@ -210,7 +210,7 @@ impl Runtime {
     /// whose call triggered the restart (distinct trace rows per thread).
     pub(super) fn restart_agent_on(&mut self, partition: PartitionId, thread: ThreadId) {
         let tracing = self.tracer.enabled();
-        let restart_t0 = if tracing { self.kernel.now_ns() } else { 0 };
+        let restart_t0 = self.trace_t0();
         let Some(agent) = self.agents.remove(&partition) else {
             return;
         };
@@ -342,19 +342,8 @@ impl Runtime {
             self.seal_agent(partition);
         }
         self.stats.restarts += 1;
-        if tracing {
-            let now = self.kernel.now_ns();
-            self.tracer.span(SpanEvent {
-                phase: SpanPhase::Restart,
-                seq: self.seq,
-                api: None,
-                partition: Some(partition),
-                thread,
-                start_ns: restart_t0,
-                end_ns: now,
-                bytes: 0,
-            });
-        }
+        let span = (None, Some(partition));
+        self.trace_span(SpanPhase::Restart, self.seq, span, thread, restart_t0, 0);
     }
 
     /// Reaps a dead agent process: audited revocation of the shm views

@@ -24,12 +24,11 @@
 //!   pipelined windows, and retirement.
 //! * `dispatch.rs` — one delivery attempt to an agent: request framing,
 //!   journal replay, agent-context execution, response framing.
-//! * `objstore.rs` — object residency: host data, host dereferences,
-//!   per-object transport selection, and the temporal-grant sweep.
-//! * [`transport`] — the [`transport::Transport`] trait with its three
-//!   implementations: `Eager` (in-frame deep copy through the host),
-//!   `Lazy` (LDC direct move on dereference), and `Shm` (zero-copy
-//!   page-mapped shared-memory segments with per-process grants).
+//! * `objstore.rs` — object residency and the data plane: host data,
+//!   host dereferences, the per-object delivery choice (`Eager` deep
+//!   copy through the host, `Lazy` LDC direct move on dereference, or
+//!   `Shm` zero-copy page-mapped segments with per-process grants), the
+//!   one counted payload copy, and the temporal-grant sweep.
 //! * `lifecycle.rs` — agent sealing, snapshots, restarts, and
 //!   crash-audit classification.
 //!
@@ -42,7 +41,6 @@ mod dispatch;
 mod lifecycle;
 mod objstore;
 mod pool;
-pub mod transport;
 
 pub use controller::AdaptiveKnobs;
 pub use pool::{TenantHandle, TenantId};
@@ -51,7 +49,7 @@ use crate::partition::PartitionId;
 use crate::policy::Policy;
 use crate::rpc::CompletionCache;
 use crate::state::{FrameworkState, StateMachine};
-use crate::trace::Tracer;
+use crate::trace::{SpanEvent, SpanPhase, Tracer};
 use freepart_analysis::{HybridReport, SyscallProfile, TestCorpus};
 use freepart_frameworks::api::{ApiId, ApiRegistry};
 use freepart_frameworks::{ActionReport, FrameworkError, ObjectId, ObjectKind, ObjectStore, Value};
@@ -314,7 +312,7 @@ impl CallHandle {
 /// Aggregated runtime statistics for the evaluation tables.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Completed hooked API calls.
+    /// Completed hooked API calls (the length of the call log).
     pub rpc_calls: u64,
     /// Direct agent→agent payload moves (lazy copies).
     pub ldc_copies: u64,
@@ -710,6 +708,7 @@ impl Runtime {
         }
         let m = self.kernel.metrics();
         RuntimeStats {
+            rpc_calls: self.call_log.len() as u64,
             transitions: self.states.values().map(|s| s.transitions).sum(),
             protected_objects: distinct.len() as u64,
             shm_grants: m.shm_grants,
@@ -741,15 +740,47 @@ impl Runtime {
         self.tracer.enable();
     }
 
-    /// Whether tracing is recording.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracer.enabled()
-    }
-
     /// The tracer: spans, marks, audit log, and the per-partition /
     /// per-API metrics registry.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
+    }
+
+    /// The start instant for a span: the current virtual time when
+    /// tracing, else 0 (never read).
+    pub(super) fn trace_t0(&self) -> u64 {
+        if self.tracer.enabled() {
+            self.kernel.now_ns()
+        } else {
+            0
+        }
+    }
+
+    /// Records a `phase` span of call `seq` from `t0` (see
+    /// [`Runtime::trace_t0`]) to the current virtual time, keyed by its
+    /// `(api, partition)` context and `thread`. No-op when not tracing.
+    pub(super) fn trace_span(
+        &mut self,
+        phase: SpanPhase,
+        seq: u64,
+        (api, partition): (Option<ApiId>, Option<PartitionId>),
+        thread: ThreadId,
+        t0: u64,
+        bytes: u64,
+    ) {
+        if self.tracer.enabled() {
+            let end_ns = self.kernel.now_ns();
+            self.tracer.span(SpanEvent {
+                phase,
+                seq,
+                api,
+                partition,
+                thread,
+                start_ns: t0,
+                end_ns,
+                bytes,
+            });
+        }
     }
 
     /// Records a driver-level instant mark (pipeline milestones such as

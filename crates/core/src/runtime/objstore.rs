@@ -1,16 +1,38 @@
 //! The object plane: host-side data definition, host dereferences,
-//! per-object transport selection (Eager / Lazy / Shm), re-protection
+//! the data plane's delivery choice and payload moves, re-protection
 //! after moves, and the temporal-grant sweep that tears shared-memory
 //! views down at framework-state transitions.
+//!
+//! Every payload delivery is one of three [`Delivery`] outcomes — the
+//! paper's Lazy Data Copy decision (§4.3.2) plus a shared-memory
+//! extension — and every byte-copying move goes through one counted
+//! primitive, `copy_payload`.
 
-use super::transport::{Transport, TransportCtx, EAGER, LAZY, SHM};
 use super::{CallError, Runtime, ThreadId};
 use crate::partition::PartitionId;
 use crate::policy::HostDataPlacement;
 use crate::state::StateMachine;
-use crate::trace::{AuditRecord, SpanEvent, SpanPhase};
+use crate::trace::{AuditRecord, SpanPhase};
+use freepart_frameworks::api::ApiId;
 use freepart_frameworks::{ObjectId, ObjectKind, ObjectMeta};
 use freepart_simos::{Perms, Pid, ShmId};
+
+/// How one object's payload becomes visible to the process about to
+/// use it. Chosen per object by `delivery_for`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Delivery {
+    /// Deep copy through the host on every call (the no-LDC ablation,
+    /// Fig. 11-b): up to two counted copies, host-relayed.
+    Eager,
+    /// Lazy Data Copy: one direct agent→agent copy at dereference time
+    /// (Fig. 11-a).
+    Lazy,
+    /// Zero-copy: the payload is promoted once into a kernel-owned
+    /// shared-memory segment, and delivery grants + page-maps the
+    /// consumer a view. Grants are *temporal*: out-of-state views are
+    /// revoked at every framework-state transition.
+    Shm,
+}
 
 impl Runtime {
     // ------------------------------------------------------------------
@@ -108,51 +130,17 @@ impl Runtime {
         if let Some(&ns) = self.last_touch.get(&id) {
             self.kernel.advance_timeline_to(self.host, ns);
         }
-        let tracing = self.tracer.enabled();
-        let fetch_t0 = if tracing { self.kernel.now_ns() } else { 0 };
-        if let Some((seg, len)) = meta.shm {
+        let fetch_t0 = self.trace_t0();
+        let (bytes, len) = if let Some((seg, len)) = meta.shm {
             // Zero-copy host deref: grant the host a read-only view of
             // the segment once, then read through the mapping.
-            let viewed = self
-                .kernel
-                .shm_segment(seg)
-                .is_some_and(|s| s.grant_of(self.host).is_some() && s.is_mapped(self.host));
-            if !viewed {
-                self.kernel
-                    .shm_grant(seg, self.host, Perms::R)
-                    .and_then(|()| self.kernel.shm_map(self.host, seg))
-                    .map_err(|_| CallError::StateLost(id))?;
-                if tracing {
-                    let at_ns = self.kernel.now_ns();
-                    self.tracer.record_audit(AuditRecord::ShmGrant {
-                        at_ns,
-                        object: id,
-                        segment: seg,
-                        pid: self.host,
-                        bytes: len,
-                    });
-                }
-            }
+            self.grant_view(id, seg, self.host, Perms::R, len)?;
             let bytes = self
                 .kernel
                 .shm_read(self.host, seg)
                 .map_err(|_| CallError::StateLost(id))?;
-            if tracing {
-                let now = self.kernel.now_ns();
-                self.tracer.span(SpanEvent {
-                    phase: SpanPhase::HostFetch,
-                    seq: self.seq,
-                    api: None,
-                    partition: None,
-                    thread: ThreadId::MAIN,
-                    start_ns: fetch_t0,
-                    end_ns: now,
-                    bytes: len,
-                });
-            }
-            return Ok(bytes);
-        }
-        if let Some((addr, len)) = meta.buffer {
+            (bytes, len)
+        } else if let Some((addr, len)) = meta.buffer {
             let bytes = self
                 .kernel
                 .mem_read(meta.home, addr, len)
@@ -160,24 +148,16 @@ impl Runtime {
             self.kernel.charge_copy(len);
             self.stats.host_copies += 1;
             self.charge_transport(len);
-            if tracing {
-                let now = self.kernel.now_ns();
-                self.tracer.span(SpanEvent {
-                    phase: SpanPhase::HostFetch,
-                    seq: self.seq,
-                    api: None,
-                    partition: None,
-                    thread: ThreadId::MAIN,
-                    start_ns: fetch_t0,
-                    end_ns: now,
-                    bytes: len,
-                });
-            }
-            return Ok(bytes);
-        }
-        self.objects
-            .read_bytes(&mut self.kernel, id)
-            .map_err(|_| CallError::StateLost(id))
+            (bytes, len)
+        } else {
+            return self
+                .objects
+                .read_bytes(&mut self.kernel, id)
+                .map_err(|_| CallError::StateLost(id));
+        };
+        let (seq, thread, span) = (self.seq, ThreadId::MAIN, (None, None));
+        self.trace_span(SpanPhase::HostFetch, seq, span, thread, fetch_t0, len);
+        Ok(bytes)
     }
 
     /// Ships a pinned object back to its dedicated data process after a
@@ -191,63 +171,37 @@ impl Runtime {
         if let Some(&pin) = self.pinned.get(&id) {
             let home = self.objects.meta(id).map(|m| m.home);
             if home != Some(pin) && self.kernel.is_running(pin) {
-                let len = self.objects.meta(id).map_or(0, |m| m.len());
-                let tracing = self.tracer.enabled();
-                let copy_t0 = if tracing { self.kernel.now_ns() } else { 0 };
-                self.objects
-                    .migrate_direct(&mut self.kernel, id, pin)
-                    .map_err(|_| CallError::StateLost(id))?;
-                self.stats.host_copies += 1;
-                self.charge_transport(len);
-                if tracing {
-                    let now = self.kernel.now_ns();
-                    self.tracer.add_eager_bytes(seq, len);
-                    self.tracer.span(SpanEvent {
-                        phase: SpanPhase::DataCopy,
-                        seq,
-                        api: None,
-                        partition: None,
-                        thread,
-                        start_ns: copy_t0,
-                        end_ns: now,
-                        bytes: len,
-                    });
-                }
-                self.reapply_all(id);
+                self.copy_back(seq, id, pin, thread, (None, None))?;
             }
         }
         Ok(())
     }
 
     // ------------------------------------------------------------------
-    // Transport selection and delivery
+    // Delivery choice and payload moves
     // ------------------------------------------------------------------
 
-    /// Picks the payload transport for one object bound for
-    /// `partition`: segments stay on the Shm transport once promoted;
-    /// payloads at or above the threshold in force for the partition
-    /// (static policy, or the adaptive controller's per-partition knob)
-    /// are promoted; everything else follows the LDC flag.
-    fn transport_for(&self, partition: PartitionId, meta: &ObjectMeta) -> &'static dyn Transport {
-        if meta.shm.is_some() {
-            return &SHM;
-        }
-        if meta.buffer.is_some()
+    /// Picks how one object bound for `partition` is delivered:
+    /// segments stay on shared memory once promoted; payloads at or
+    /// above the threshold in force for the partition (static policy,
+    /// or the adaptive controller's per-partition knob) are promoted;
+    /// everything else follows the LDC flag.
+    fn delivery_for(&self, partition: PartitionId, meta: &ObjectMeta) -> Delivery {
+        let promote = meta.buffer.is_some()
             && self
                 .shm_threshold_for(partition)
-                .is_some_and(|t| meta.len() >= t)
-        {
-            return &SHM;
-        }
-        if self.policy.lazy_data_copy {
-            &LAZY
+                .is_some_and(|t| meta.len() >= t);
+        if meta.shm.is_some() || promote {
+            Delivery::Shm
+        } else if self.policy.lazy_data_copy {
+            Delivery::Lazy
         } else {
-            &EAGER
+            Delivery::Eager
         }
     }
 
-    /// Moves one object into the executing agent via the selected
-    /// transport, re-applying temporal protection afterwards.
+    /// Moves one object into the executing agent by the delivery its
+    /// payload calls for, re-applying temporal protection afterwards.
     pub(super) fn move_to_agent(
         &mut self,
         thread: ThreadId,
@@ -264,7 +218,7 @@ impl Runtime {
         if meta.home == agent_pid {
             return Ok(());
         }
-        if meta.buffer.is_none() && meta.shm.is_none() {
+        if meta.is_empty() {
             // Buffer-less handles (windows, captures) carry no payload:
             // re-homing them is free and never lossy.
             self.objects
@@ -277,36 +231,29 @@ impl Runtime {
         if meta.shm.is_none() && !self.kernel.is_running(meta.home) {
             return Err(CallError::StateLost(obj));
         }
-        let transport = self.transport_for(partition, &meta);
-        let tracing = self.tracer.enabled();
-        let copy_t0 = if tracing { self.kernel.now_ns() } else { 0 };
-        {
-            let mut ctx = TransportCtx {
-                kernel: &mut self.kernel,
-                objects: &mut self.objects,
-                stats: &mut self.stats,
-                tracer: &mut self.tracer,
-                host: self.host,
-                seq,
-                penalty: self.policy.transport.penalty_factor(),
-            };
-            transport.deliver(&mut ctx, obj, agent_pid)?;
-        }
-        if tracing {
-            // The move span closes *before* re-protection so Reprotect
-            // time attributes to the mprotect bucket, not the copy one.
-            let now = self.kernel.now_ns();
-            self.tracer.span(SpanEvent {
-                phase: transport.span_phase(),
-                seq,
-                api: None,
-                partition: None,
-                thread,
-                start_ns: copy_t0,
-                end_ns: now,
-                bytes: meta.len(),
-            });
-        }
+        let copy_t0 = self.trace_t0();
+        let phase = match self.delivery_for(partition, &meta) {
+            Delivery::Shm => {
+                self.deliver_shm(seq, obj, &meta, agent_pid)?;
+                SpanPhase::ShmMap
+            }
+            Delivery::Eager => {
+                // Through the host relay: hop 1 is skipped when the
+                // payload already lives there.
+                if meta.home != self.host {
+                    self.copy_payload(seq, obj, self.host, Delivery::Eager)?;
+                }
+                self.copy_payload(seq, obj, agent_pid, Delivery::Eager)?;
+                SpanPhase::DataCopy
+            }
+            Delivery::Lazy => {
+                self.copy_payload(seq, obj, agent_pid, Delivery::Lazy)?;
+                SpanPhase::DataCopy
+            }
+        };
+        // The move span closes *before* re-protection so Reprotect time
+        // attributes to the mprotect bucket, not the copy one.
+        self.trace_span(phase, seq, (None, None), thread, copy_t0, meta.len());
         // Delivery is the only shm-promotion site: index the segment so
         // the revocation sweeps never rescan the whole object table.
         if self.objects.meta(obj).is_some_and(|m| m.shm.is_some()) {
@@ -319,9 +266,139 @@ impl Runtime {
         Ok(())
     }
 
+    /// Zero-copy delivery: promotes a buffer-backed payload into a
+    /// segment once (the kernel adopts the pages, so promotion copies
+    /// nothing), grants + maps `agent` a view, and re-homes the object
+    /// there. No payload byte crosses an address space.
+    fn deliver_shm(
+        &mut self,
+        seq: u64,
+        obj: ObjectId,
+        meta: &ObjectMeta,
+        agent: Pid,
+    ) -> Result<(), CallError> {
+        let len = meta.len();
+        let seg = match meta.shm {
+            Some((seg, _)) => seg,
+            None => {
+                let seg = self
+                    .objects
+                    .promote_to_shm(&mut self.kernel, obj)
+                    .map_err(|_| CallError::StateLost(obj))?
+                    .ok_or(CallError::StateLost(obj))?;
+                self.audit_shm_grant(obj, seg, meta.home, len);
+                seg
+            }
+        };
+        // New grants inherit the segment's current lock level (the
+        // current user's perms), so delivery cannot widen a temporal
+        // read-only lock.
+        let perms = self
+            .kernel
+            .shm_segment(seg)
+            .and_then(|s| s.grant_of(meta.home))
+            .unwrap_or(Perms::RW);
+        self.grant_view(obj, seg, agent, perms, len)?;
+        // Re-home: the agent is now the segment's current user. The
+        // payload itself never moved — the registry records the mapped
+        // length under `bytes_shm` so payload-size estimators keep
+        // seeing this object's traffic after promotion.
+        self.tracer.add_shm_bytes(seq, len);
+        if let Some(m) = self.objects.meta_mut(obj) {
+            m.home = agent;
+        }
+        Ok(())
+    }
+
+    /// Grants + maps `pid` a view of `obj`'s segment `seg`, unless it
+    /// already holds one, auditing the new grant.
+    pub(super) fn grant_view(
+        &mut self,
+        obj: ObjectId,
+        seg: ShmId,
+        pid: Pid,
+        perms: Perms,
+        bytes: u64,
+    ) -> Result<(), CallError> {
+        let viewed = self
+            .kernel
+            .shm_segment(seg)
+            .is_some_and(|s| s.grant_of(pid).is_some() && s.is_mapped(pid));
+        if !viewed {
+            self.kernel
+                .shm_grant(seg, pid, perms)
+                .and_then(|()| self.kernel.shm_map(pid, seg))
+                .map_err(|_| CallError::StateLost(obj))?;
+            self.audit_shm_grant(obj, seg, pid, bytes);
+        }
+        Ok(())
+    }
+
+    /// Audits `pid`'s grant on `obj`'s segment (no-op when not tracing).
+    fn audit_shm_grant(&mut self, object: ObjectId, segment: ShmId, pid: Pid, bytes: u64) {
+        if self.tracer.enabled() {
+            let at_ns = self.kernel.now_ns();
+            self.tracer.record_audit(AuditRecord::ShmGrant {
+                at_ns,
+                object,
+                segment,
+                pid,
+                bytes,
+            });
+        }
+    }
+
+    /// The one byte-copying payload move: migrates `obj` to `to` and,
+    /// only when a payload buffer actually moved, counts the copy
+    /// (`ldc_copies` for a lazy move, `host_copies` otherwise), bills the
+    /// pipe penalty, and attributes the bytes to call `seq`.
+    fn copy_payload(
+        &mut self,
+        seq: u64,
+        obj: ObjectId,
+        to: Pid,
+        delivery: Delivery,
+    ) -> Result<(), CallError> {
+        let meta = self.objects.meta(obj).ok_or(CallError::StateLost(obj))?;
+        let moved = meta.buffer.filter(|_| meta.home != to).map(|(_, len)| len);
+        self.objects
+            .migrate_direct(&mut self.kernel, obj, to)
+            .map_err(|_| CallError::StateLost(obj))?;
+        if let Some(len) = moved {
+            if delivery == Delivery::Lazy {
+                self.stats.ldc_copies += 1;
+                self.tracer.add_lazy_bytes(seq, len);
+            } else {
+                self.stats.host_copies += 1;
+                self.tracer.add_eager_bytes(seq, len);
+            }
+            self.charge_transport(len);
+        }
+        Ok(())
+    }
+
+    /// Copies `obj` back out of the agent that used it (to the host
+    /// without LDC, or to a pinned object's data process) under a
+    /// `DataCopy` span, then re-applies its temporal protection.
+    pub(super) fn copy_back(
+        &mut self,
+        seq: u64,
+        obj: ObjectId,
+        to: Pid,
+        thread: ThreadId,
+        span: (Option<ApiId>, Option<PartitionId>),
+    ) -> Result<(), CallError> {
+        let len = self.objects.meta(obj).map_or(0, ObjectMeta::len);
+        let copy_t0 = self.trace_t0();
+        self.copy_payload(seq, obj, to, Delivery::Eager)?;
+        self.trace_span(SpanPhase::DataCopy, seq, span, thread, copy_t0, len);
+        self.reapply_all(obj);
+        Ok(())
+    }
+
     /// Charges the transport penalty for moving `bytes` over a pipe
     /// instead of shared memory.
-    pub(super) fn charge_transport(&mut self, bytes: u64) {
+    fn charge_transport(&mut self, bytes: u64) {
         let factor = self.policy.transport.penalty_factor();
         if factor > 1 {
             let base = self.kernel.cost_model().copy_cost(bytes);
@@ -364,32 +441,17 @@ impl Runtime {
             }
         }
         if let Some((t0, pages0)) = before {
-            let now = self.kernel.now_ns();
             let pages = self.kernel.metrics().protected_pages - pages0;
             self.tracer.record_audit(AuditRecord::Reprotect {
                 at_ns: t0,
                 object: obj,
                 pages,
             });
-            self.tracer.span(SpanEvent {
-                phase: SpanPhase::Reprotect,
-                seq: self.seq,
-                api: None,
-                partition: None,
-                thread: threads[0],
-                start_ns: t0,
-                end_ns: now,
-                bytes: 0,
-            });
+            let (seq, thread) = (self.seq, threads[0]);
+            self.trace_span(SpanPhase::Reprotect, seq, (None, None), thread, t0, 0);
         }
     }
 
-    /// The temporal-grant sweep: at a framework-state transition, every
-    /// shared-memory view held by a process other than the segment's
-    /// current user is revoked — the segment analogue of the mprotect
-    /// storm. Runs inside the drain barrier (no call in flight), so a
-    /// stale agent's next access faults instead of racing the sweep.
-    /// One audit record per revoked `(segment, pid)` pair.
     /// Revokes every shared-memory view a dead process still holds —
     /// the shm half of reaping a crashed agent, run inside the same
     /// drain barrier as the respawn. One audit record per revoked view,
@@ -408,19 +470,16 @@ impl Runtime {
             })
             .collect();
         for (obj, seg) in shm_objs {
-            if self.kernel.shm_revoke(seg, dead).unwrap_or(false) && self.tracer.enabled() {
-                let at_ns = self.kernel.now_ns();
-                self.tracer.record_audit(AuditRecord::ShmRevoke {
-                    at_ns,
-                    object: obj,
-                    segment: seg,
-                    pid: dead,
-                    seq,
-                });
-            }
+            self.revoke_view(obj, seg, dead, seq);
         }
     }
 
+    /// The temporal-grant sweep: at a framework-state transition, every
+    /// shared-memory view held by a process other than the segment's
+    /// current user is revoked — the segment analogue of the mprotect
+    /// storm. Runs inside the drain barrier (no call in flight), so a
+    /// stale agent's next access faults instead of racing the sweep.
+    /// One audit record per revoked `(segment, pid)` pair.
     pub(super) fn revoke_out_of_state_grants(&mut self, seq: u64) {
         debug_assert!(self.shm_index_consistent(), "shm index drifted");
         let objs: Vec<ObjectId> = self.shm_index.iter().copied().collect();
@@ -466,17 +525,23 @@ impl Runtime {
                 .map(|s| s.grants().map(|(p, _)| p).filter(|p| *p != home).collect())
                 .unwrap_or_default();
             for pid in stale {
-                if self.kernel.shm_revoke(seg, pid).unwrap_or(false) && self.tracer.enabled() {
-                    let at_ns = self.kernel.now_ns();
-                    self.tracer.record_audit(AuditRecord::ShmRevoke {
-                        at_ns,
-                        object: obj,
-                        segment: seg,
-                        pid,
-                        seq,
-                    });
-                }
+                self.revoke_view(obj, seg, pid, seq);
             }
+        }
+    }
+
+    /// Revokes `pid`'s view of `obj`'s segment, auditing it when a grant
+    /// was actually held.
+    fn revoke_view(&mut self, object: ObjectId, segment: ShmId, pid: Pid, seq: u64) {
+        if self.kernel.shm_revoke(segment, pid).unwrap_or(false) && self.tracer.enabled() {
+            let at_ns = self.kernel.now_ns();
+            self.tracer.record_audit(AuditRecord::ShmRevoke {
+                at_ns,
+                object,
+                segment,
+                pid,
+                seq,
+            });
         }
     }
 

@@ -26,7 +26,7 @@ use super::{CallError, Runtime, ThreadId};
 use crate::partition::PartitionId;
 use crate::trace::AuditRecord;
 use freepart_frameworks::api::ApiId;
-use freepart_frameworks::{ObjectId, ObjectKind, Value};
+use freepart_frameworks::{ObjectId, Value};
 use freepart_simos::Perms;
 use std::fmt;
 
@@ -68,8 +68,6 @@ pub(super) struct Ticket {
     tenant: TenantId,
     api: ApiId,
     args: Vec<Value>,
-    /// The pool partition the call is bound for.
-    pool: PartitionId,
     /// Items already queued for this tenant at submission (backlog
     /// position — feeds the starvation bound).
     own_ahead: usize,
@@ -116,11 +114,6 @@ impl Runtime {
         let pid = self.kernel.spawn(&format!("tenant:{}", thread.0));
         self.tenant_pids.insert(thread.0, pid);
         TenantId(thread.0)
-    }
-
-    /// Live tenants admitted to the pools.
-    pub fn tenant_count(&self) -> usize {
-        self.tenant_pids.len()
     }
 
     /// One tenant's pipeline process. Grants in the kernel's segment
@@ -175,7 +168,6 @@ impl Runtime {
                 tenant,
                 api,
                 args: args.to_vec(),
-                pool,
                 own_ahead,
                 enqueue_ns: self.kernel.now_ns(),
                 pool_served_at,
@@ -287,23 +279,6 @@ impl Runtime {
     // Tenant data plane
     // ------------------------------------------------------------------
 
-    /// Allocates application data owned by one tenant: homed in the
-    /// tenant's own pipeline process and registered with *its* state
-    /// machine only — the capability gate denies every other tenant.
-    pub fn host_data_for(&mut self, tenant: TenantId, label: &str, bytes: &[u8]) -> ObjectId {
-        let home = self
-            .tenant_pids
-            .get(&tenant.0)
-            .copied()
-            .unwrap_or(self.host);
-        let id = self
-            .objects
-            .create_with_data(&mut self.kernel, home, ObjectKind::Blob, label, bytes)
-            .expect("tenant process is alive");
-        self.define_on(tenant.thread(), id);
-        id
-    }
-
     /// Reads an object's payload from one tenant's perspective, through
     /// the capability gate: foreign objects are denied (and audited)
     /// without touching a byte. Segment-backed payloads are read through
@@ -337,26 +312,7 @@ impl Runtime {
             .clone();
         let tpid = self.tenant_pids.get(&tenant.0).copied();
         if let (Some((seg, len)), Some(pid)) = (meta.shm, tpid) {
-            let viewed = self
-                .kernel
-                .shm_segment(seg)
-                .is_some_and(|s| s.grant_of(pid).is_some() && s.is_mapped(pid));
-            if !viewed {
-                self.kernel
-                    .shm_grant(seg, pid, Perms::R)
-                    .and_then(|()| self.kernel.shm_map(pid, seg))
-                    .map_err(|_| CallError::StateLost(id))?;
-                if self.tracer.enabled() {
-                    let at_ns = self.kernel.now_ns();
-                    self.tracer.record_audit(AuditRecord::ShmGrant {
-                        at_ns,
-                        object: id,
-                        segment: seg,
-                        pid,
-                        bytes: len,
-                    });
-                }
-            }
+            self.grant_view(id, seg, pid, Perms::R, len)?;
             return self
                 .kernel
                 .shm_read(pid, seg)
@@ -429,11 +385,5 @@ impl Runtime {
     pub fn ticket_fairness(&self, handle: TenantHandle) -> Option<(u64, usize)> {
         let t = self.tickets.get(&handle.0)?;
         Some((t.foreign_served?, t.own_ahead))
-    }
-
-    /// The pool partition a ticket was queued on (fairness bounds are
-    /// per-pool: only same-pool service counts as foreign).
-    pub fn ticket_pool(&self, handle: TenantHandle) -> Option<PartitionId> {
-        self.tickets.get(&handle.0).map(|t| t.pool)
     }
 }

@@ -223,18 +223,23 @@ proptest! {
         side in 4u32..16,
     ) {
         let mono = run_monolithic(&picks, side);
-        let (lazy, _) = run_freepart_with(Policy::freepart(), &picks, side);
-        let (eager, _) = run_freepart_with(Policy::without_ldc(), &picks, side);
+        let (lazy, lazy_rt) = run_freepart_with(Policy::freepart(), &picks, side);
+        let (eager, eager_rt) = run_freepart_with(Policy::without_ldc(), &picks, side);
         let shm_everything = Policy {
             shm_threshold: Some(1),
             ..Policy::freepart()
         };
         let (shm, shm_rt) = run_freepart_with(shm_everything, &picks, side);
-        let (mixed, _) = run_freepart_with(Policy::freepart_shm(), &picks, side);
+        let (mixed, mixed_rt) = run_freepart_with(Policy::freepart_shm(), &picks, side);
         prop_assert_eq!(&lazy, &mono);
         prop_assert_eq!(&eager, &mono);
         prop_assert_eq!(&shm, &mono);
         prop_assert_eq!(&mixed, &mono);
+        // Every mode books exactly the copies the kernel performed.
+        for rt in [&lazy_rt, &eager_rt, &shm_rt, &mixed_rt] {
+            let s = rt.stats();
+            prop_assert_eq!(s.ldc_copies + s.host_copies, rt.kernel.metrics().copy_ops);
+        }
         // The all-shm run really exercised the segment path…
         prop_assert!(shm_rt.stats().shm_grants > 0, "shm transport engaged");
         prop_assert!(shm_rt.stats().shm_mapped_bytes > 0);
