@@ -362,7 +362,7 @@ impl Runtime {
                 Some((
                     self.kernel.now_ns(),
                     self.kernel.metrics().protected_pages,
-                    self.states[&thread].protected().len(),
+                    self.states[&thread].protected_count(),
                 ))
             } else {
                 None
@@ -394,7 +394,7 @@ impl Runtime {
             if let Some((t0, pages0, prot0)) = before {
                 if to != from {
                     let pages = self.kernel.metrics().protected_pages - pages0;
-                    let prot1 = self.states[&thread].protected().len();
+                    let prot1 = self.states[&thread].protected_count();
                     let locked = newly.unwrap_or(0);
                     let unlocked = (prot0 + locked).saturating_sub(prot1);
                     let commits = (commits0, self.kernel.commit_len());

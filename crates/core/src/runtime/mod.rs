@@ -704,7 +704,7 @@ impl Runtime {
     pub fn stats(&self) -> RuntimeStats {
         let mut distinct: BTreeSet<ObjectId> = BTreeSet::new();
         for s in self.states.values() {
-            distinct.extend(s.protected().iter().copied());
+            distinct.extend(s.protected());
         }
         let m = self.kernel.metrics();
         RuntimeStats {

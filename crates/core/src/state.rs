@@ -32,6 +32,13 @@ impl fmt::Display for FrameworkState {
     }
 }
 
+/// The objects defined during one state, split by lock status.
+#[derive(Debug, Default)]
+struct LockSets {
+    writable: BTreeSet<ObjectId>,
+    locked: BTreeSet<ObjectId>,
+}
+
 /// Tracks the current state, which objects were defined in which state,
 /// and enforces the read-only transition rule.
 #[derive(Debug)]
@@ -39,12 +46,10 @@ pub struct StateMachine {
     current: FrameworkState,
     /// Defining state per object (the reverse index of `by_state`).
     defined_in: BTreeMap<ObjectId, FrameworkState>,
-    /// Objects defined during each state. Transitions walk only the
-    /// previous and next states' sets instead of scanning every live
-    /// object, so a transition costs O(objects in those two states).
-    by_state: BTreeMap<FrameworkState, BTreeSet<ObjectId>>,
-    /// Objects currently locked read-only.
-    protected: BTreeSet<ObjectId>,
+    /// Objects defined during each state, writable and locked apart. A
+    /// transition walks only the left state's writable set and the
+    /// re-entered state's locked set, and moves each over whole.
+    by_state: BTreeMap<FrameworkState, LockSets>,
     /// Total state transitions taken.
     pub transitions: u64,
     /// `(virtual ns, new state, objects newly locked)` per transition —
@@ -60,7 +65,6 @@ impl StateMachine {
             current: FrameworkState::Initialization,
             defined_in: BTreeMap::new(),
             by_state: BTreeMap::new(),
-            protected: BTreeSet::new(),
             transitions: 0,
             timeline: Vec::new(),
             enabled,
@@ -79,11 +83,16 @@ impl StateMachine {
         FrameworkState::InType(t) != self.current
     }
 
-    /// Registers an object as defined in the current state.
+    /// Registers an object as defined (and writable) in the current
+    /// state.
     pub fn define(&mut self, id: ObjectId) {
         if !self.defined_in.contains_key(&id) {
             self.defined_in.insert(id, self.current);
-            self.by_state.entry(self.current).or_default().insert(id);
+            self.by_state
+                .entry(self.current)
+                .or_default()
+                .writable
+                .insert(id);
         }
     }
 
@@ -94,12 +103,21 @@ impl StateMachine {
 
     /// True when the object has been locked read-only.
     pub fn is_protected(&self, id: ObjectId) -> bool {
-        self.protected.contains(&id)
+        self.defined_in
+            .get(&id)
+            .is_some_and(|state| self.by_state[state].locked.contains(&id))
     }
 
-    /// Objects currently protected.
-    pub fn protected(&self) -> &BTreeSet<ObjectId> {
-        &self.protected
+    /// Objects currently protected, grouped by defining state.
+    pub fn protected(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        self.by_state
+            .values()
+            .flat_map(|sets| sets.locked.iter().copied())
+    }
+
+    /// Number of objects currently protected.
+    pub fn protected_count(&self) -> usize {
+        self.by_state.values().map(|sets| sets.locked.len()).sum()
     }
 
     /// Observes an API call of type `t`; on a state change, locks every
@@ -132,13 +150,10 @@ impl StateMachine {
             self.timeline.push((kernel.now_ns(), next, 0));
             return Ok(0);
         }
-        // Lock everything defined during the state we just left — only
-        // that state's index set is walked, not every tracked object.
-        let leaving = self.tracked_in(prev, false);
-        let newly = self.move_objects(kernel, objects, &leaving, Perms::R)?;
-        // Unlock objects owned by the state we are re-entering.
-        let reentered = self.tracked_in(next, true);
-        self.move_objects(kernel, objects, &reentered, Perms::RW)?;
+        // Lock everything defined during the state we just left, then
+        // unlock the objects owned by the state we are re-entering.
+        let newly = self.move_state(kernel, objects, prev, Perms::R)?;
+        self.move_state(kernel, objects, next, Perms::RW)?;
         self.timeline.push((kernel.now_ns(), next, newly));
         Ok(newly)
     }
@@ -149,69 +164,75 @@ impl StateMachine {
         &self.timeline
     }
 
-    /// Objects defined in `state` whose protected flag equals `locked`.
-    fn tracked_in(&self, state: FrameworkState, locked: bool) -> Vec<ObjectId> {
-        self.by_state
-            .get(&state)
-            .map(|set| {
-                set.iter()
-                    .filter(|id| self.protected.contains(id) == locked)
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Moves `ids` to `perms` — `R` locks, `RW` unlocks. Buffer-resident
-    /// objects share one range-list protect op; shm-resident ones go
-    /// through `shm_protect_all`. The protected set changes only after
-    /// the kernel op that backs it succeeded, so on an error it still
-    /// matches the kernel's permissions. Objects with nothing to protect
+    /// Moves the objects of `state` to `perms` — `R` locks its writable
+    /// set, `RW` unlocks its locked set. Buffer-resident objects share
+    /// one range-list protect op; shm-resident ones go through
+    /// `shm_protect_all`. Each object costs one object-table lookup, and
+    /// the set moves over whole once every kernel op has succeeded.
+    ///
+    /// On an error the sets still match the kernel's permissions: an
+    /// object whose `shm_protect_all` succeeded stays moved, and the
+    /// range-list's objects stay put. Objects with nothing to protect
     /// (no payload, or a dead home) are not locked, but unlocking always
-    /// drops them from the set. Returns the number of objects whose
-    /// payload was moved.
-    fn move_objects(
+    /// moves them. Returns the number of objects whose payload was moved.
+    fn move_state(
         &mut self,
         kernel: &mut Kernel,
         objects: &ObjectStore,
-        ids: &[ObjectId],
+        state: FrameworkState,
         perms: Perms,
     ) -> SimResult<usize> {
         let lock = perms == Perms::R;
+        let Some(sets) = self.by_state.get_mut(&state) else {
+            return Ok(0);
+        };
+        let (from, to) = if lock {
+            (&mut sets.writable, &mut sets.locked)
+        } else {
+            (&mut sets.locked, &mut sets.writable)
+        };
         let mut ranges = Vec::new();
-        let mut batched = Vec::new();
+        // Objects whose move needs no range-list op (moved by their own
+        // shm op, or resident nowhere), and those that stay put.
+        let mut settled = Vec::new();
+        let mut stay = Vec::new();
         let mut moved = 0;
-        for &id in ids {
+        let mut err = None;
+        for &id in from.iter() {
             match Residency::of(kernel, objects, id) {
                 Some(Residency::Shm(seg)) => {
-                    kernel.shm_protect_all(seg, perms)?;
-                    self.track(id, lock);
+                    if let Err(e) = kernel.shm_protect_all(seg, perms) {
+                        err = Some(e);
+                        break;
+                    }
+                    settled.push(id);
                     moved += 1;
                 }
                 Some(Residency::Buffer(pid, addr, len)) => {
                     ranges.push((pid, addr, len));
-                    batched.push(id);
+                    moved += 1;
                 }
-                None if !lock => self.track(id, false),
-                None => {}
+                None if lock => stay.push(id),
+                None => settled.push(id),
             }
         }
-        if !ranges.is_empty() {
-            kernel.protect_ranges(perms, ranges)?;
+        if err.is_none() && !ranges.is_empty() {
+            err = kernel.protect_ranges(perms, ranges).err();
         }
-        moved += batched.len();
-        for id in batched {
-            self.track(id, lock);
-        }
-        Ok(moved)
-    }
-
-    fn track(&mut self, id: ObjectId, locked: bool) {
-        if locked {
-            self.protected.insert(id);
+        let mut moving = if err.is_some() {
+            // Only the objects moved without the range-list op change
+            // sides.
+            settled.iter().filter_map(|id| from.take(id)).collect()
         } else {
-            self.protected.remove(&id);
-        }
+            let mut all = std::mem::take(from);
+            if !stay.is_empty() {
+                all.retain(|id| stay.binary_search(id).is_err());
+                *from = stay.into_iter().collect();
+            }
+            all
+        };
+        to.append(&mut moving);
+        err.map_or(Ok(moved), Err)
     }
 
     /// Re-applies protection to one object (after the runtime migrated
@@ -236,12 +257,13 @@ impl StateMachine {
 
     /// Forgets an object (destroyed).
     pub fn forget(&mut self, id: ObjectId) {
-        if let Some(state) = self.defined_in.remove(&id) {
-            if let Some(set) = self.by_state.get_mut(&state) {
-                set.remove(&id);
-            }
+        let Some(state) = self.defined_in.remove(&id) else {
+            return;
+        };
+        let sets = self.by_state.get_mut(&state).expect("defined state");
+        if !sets.locked.remove(&id) {
+            sets.writable.remove(&id);
         }
-        self.protected.remove(&id);
     }
 }
 
@@ -400,7 +422,8 @@ mod tests {
             .observe(ApiType::DataLoading, &mut k, &store)
             .unwrap_err();
         assert!(matches!(err, SimError::Errno(Errno::Einval)));
-        assert!(sm.protected().is_empty());
+        assert_eq!(sm.protected_count(), 0);
+        assert_eq!(sm.protected().count(), 0);
         assert_eq!(k.metrics().protected_pages, 0);
         for id in [kept, gone] {
             let (addr, _) = store.meta(id).unwrap().buffer.unwrap();

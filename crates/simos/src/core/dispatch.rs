@@ -174,6 +174,10 @@ pub(super) fn dispatch(
             Ok(SyscallRet::Mapped(addr))
         }
         S::Munmap { addr, len } => {
+            // Like Linux, a range that wraps the address space is refused.
+            if addr.0.checked_add(len).is_none() {
+                return Err(Errno::Einval.into());
+            }
             state.process_mut(pid)?.aspace.unmap(addr, len);
             Ok(SyscallRet::Ok)
         }

@@ -1,10 +1,14 @@
 //! Per-process virtual memory: pages, permissions, and `mprotect`.
 //!
-//! Each [`AddressSpace`] is a sparse map of 4 KiB pages, each carrying an
-//! independent [`Perms`] word. All loads and stores are mediated here; a
-//! permission miss produces the [`FaultKind`]
-//! that the kernel turns into a process crash — this is the mechanism
-//! FreePart's temporal read-only enforcement leans on.
+//! Each [`AddressSpace`] is a dense table of 4 KiB pages, each carrying an
+//! independent [`Perms`] word. The table is indexed by page number above
+//! the heap base: every mapping comes from a bump allocator and addresses
+//! are never reused, so the table only grows at its end and an unmapped
+//! page leaves a hole. Every page lookup is index arithmetic.
+//!
+//! All loads and stores are mediated here; a permission miss produces the
+//! [`FaultKind`] that the kernel turns into a process crash — this is the
+//! mechanism FreePart's temporal read-only enforcement leans on.
 //!
 //! Addresses are process-virtual: the same numeric address in two address
 //! spaces names unrelated storage, which is precisely the isolation
@@ -12,8 +16,8 @@
 
 use crate::commit::{fold_bytes, mix, FINGERPRINT_SEED};
 use crate::error::FaultKind;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Size of a simulated page in bytes (matches x86-64 Linux).
 pub const PAGE_SIZE: u64 = 4096;
@@ -141,10 +145,15 @@ fn page_span(addr: Addr, len: u64) -> Option<(u64, u64)> {
     Some((addr.page_base(), Addr(end).page_base()))
 }
 
+/// Table slot of the page at `base` (at or above [`HEAP_BASE`]).
+fn slot_of(base: u64) -> u64 {
+    (base - HEAP_BASE) / PAGE_SIZE
+}
+
 /// Outcome of a raw memory access attempt.
 pub(crate) type AccessResult<T> = Result<T, FaultKind>;
 
-/// A sparse, paged, per-process address space with a bump allocator.
+/// A dense, paged, per-process address space with a bump allocator.
 ///
 /// # Example
 ///
@@ -158,8 +167,13 @@ pub(crate) type AccessResult<T> = Result<T, FaultKind>;
 /// ```
 #[derive(Clone)]
 pub struct AddressSpace {
-    pages: BTreeMap<u64, Page>,
-    brk: u64,
+    /// The page table: slot `i` is the page at `HEAP_BASE + i *
+    /// PAGE_SIZE`. Every mapping comes from the bump allocator, which
+    /// appends slots and never reuses an address, so the table ends at
+    /// the heap cursor and an unmapped page stays a `None` hole.
+    pages: Vec<Option<Page>>,
+    /// Number of `Some` slots in `pages`.
+    mapped: usize,
     /// Incrementally-maintained mutation fingerprint: every mutating
     /// operation folds an op tag plus its arguments in, so two address
     /// spaces built by the same mutation sequence hash identically
@@ -177,8 +191,8 @@ impl AddressSpace {
     /// Creates an empty address space with the heap cursor at its base.
     pub fn new() -> AddressSpace {
         AddressSpace {
-            pages: BTreeMap::new(),
-            brk: HEAP_BASE,
+            pages: Vec::new(),
+            mapped: 0,
             fp: FINGERPRINT_SEED,
         }
     }
@@ -189,6 +203,41 @@ impl AddressSpace {
     /// protection changes separates them.
     pub fn fingerprint(&self) -> u64 {
         self.fp
+    }
+
+    /// The heap cursor: the address the next allocation starts at.
+    fn brk(&self) -> u64 {
+        HEAP_BASE + self.pages.len() as u64 * PAGE_SIZE
+    }
+
+    /// The table slots of the pages covering `[addr, addr+len)`, in
+    /// address order and cut at the first page outside the table, plus
+    /// whether the table holds the whole span. A span starting below
+    /// the heap yields no slots; one running past the end of the address
+    /// space is cut at the end of the table.
+    fn span(&self, addr: Addr, len: u64) -> (Range<usize>, bool) {
+        let n = self.pages.len() as u64;
+        let first = addr.page_base();
+        if first < HEAP_BASE {
+            return (0..0, false);
+        }
+        let lo = slot_of(first).min(n) as usize;
+        match page_span(addr, len) {
+            Some((_, last)) if slot_of(last) < n => (lo..slot_of(last) as usize + 1, true),
+            _ => (lo..n as usize, false),
+        }
+    }
+
+    /// The pages of a span, when every one of them is mapped.
+    fn mapped_pages(&self, addr: Addr, len: u64) -> Option<Range<usize>> {
+        let (slots, whole) = self.span(addr, len);
+        (whole && self.pages[slots.clone()].iter().all(Option::is_some)).then_some(slots)
+    }
+
+    /// The mapped page at `base`, if any.
+    fn page(&self, base: u64) -> Option<&Page> {
+        let slot = base.checked_sub(HEAP_BASE)? / PAGE_SIZE;
+        self.pages.get(usize::try_from(slot).ok()?)?.as_ref()
     }
 
     /// Allocates `len` bytes of fresh zeroed memory with permissions
@@ -202,12 +251,11 @@ impl AddressSpace {
     /// address and indicates a harness bug.
     pub fn alloc(&mut self, len: u64, perms: Perms) -> Addr {
         assert!(len > 0, "zero-length allocation");
-        let base = self.brk;
+        let base = self.brk();
         let pages = len.div_ceil(PAGE_SIZE);
-        for i in 0..pages {
-            self.pages.insert(base + i * PAGE_SIZE, Page::new(perms));
-        }
-        self.brk = base + pages * PAGE_SIZE;
+        self.pages
+            .extend((0..pages).map(|_| Some(Page::new(perms))));
+        self.mapped += pages as usize;
         self.fp = mix(
             mix(mix(mix(self.fp, 1), base), pages),
             u64::from(perms.bits()),
@@ -216,19 +264,26 @@ impl AddressSpace {
     }
 
     /// Unmaps the pages covering `[addr, addr+len)`. Unmapped holes are
-    /// ignored (like `munmap`).
+    /// ignored (like `munmap`); a range running past the end of the
+    /// address space unmaps nothing. The walk covers only the part of
+    /// the range that lies in the page table, however long the range.
     pub fn unmap(&mut self, addr: Addr, len: u64) {
-        let first = addr.page_base();
-        let last = Addr(addr.0 + len.saturating_sub(1)).page_base();
+        let Some((first, last)) = page_span(addr, len) else {
+            return;
+        };
         let mut removed = 0u64;
-        let mut p = first;
-        while p <= last {
-            if self.pages.remove(&p).is_some() {
-                removed += 1;
+        if last >= HEAP_BASE {
+            let n = self.pages.len() as u64;
+            let lo = slot_of(first.max(HEAP_BASE)).min(n) as usize;
+            let hi = (slot_of(last) + 1).min(n) as usize;
+            for page in &mut self.pages[lo..hi] {
+                if page.take().is_some() {
+                    removed += 1;
+                }
             }
-            p += PAGE_SIZE;
         }
         if removed > 0 {
+            self.mapped -= removed as usize;
             self.fp = mix(mix(mix(self.fp, 2), first), removed);
         }
     }
@@ -242,11 +297,9 @@ impl AddressSpace {
     /// harness fault because our callers always pass mapped ranges).
     pub fn protect(&mut self, addr: Addr, len: u64, perms: Perms) -> AccessResult<u64> {
         // Validate first so the operation is atomic.
-        let Some((first, last)) = self.mapped_span(addr, len) else {
-            return Err(FaultKind::Unmapped);
-        };
+        let slots = self.mapped_pages(addr, len).ok_or(FaultKind::Unmapped)?;
         let mut changed = 0;
-        for page in self.pages.range_mut(first..=last).map(|(_, page)| page) {
+        for page in self.pages[slots].iter_mut().flatten() {
             if page.perms != perms {
                 page.perms = perms;
                 changed += 1;
@@ -254,7 +307,7 @@ impl AddressSpace {
         }
         if changed > 0 {
             self.fp = mix(
-                mix(mix(mix(self.fp, 3), first), changed),
+                mix(mix(mix(self.fp, 3), addr.page_base()), changed),
                 u64::from(perms.bits()),
             );
         }
@@ -265,37 +318,22 @@ impl AddressSpace {
     /// already at exactly `perms` — i.e. a [`AddressSpace::protect`] call
     /// with these arguments would change nothing.
     pub fn perms_match(&self, addr: Addr, len: u64, perms: Perms) -> bool {
-        let first = addr.page_base();
-        let last = Addr(addr.0 + len.saturating_sub(1)).page_base();
-        let mut p = first;
-        while p <= last {
-            match self.pages.get(&p) {
-                Some(page) if page.perms == perms => {}
-                _ => return false,
-            }
-            p += PAGE_SIZE;
-        }
-        true
+        let (slots, whole) = self.span(addr, len);
+        whole
+            && self.pages[slots]
+                .iter()
+                .all(|page| page.as_ref().is_some_and(|page| page.perms == perms))
     }
 
     /// Current permissions of the page containing `addr`, if mapped.
     pub fn perms_at(&self, addr: Addr) -> Option<Perms> {
-        self.pages.get(&addr.page_base()).map(|p| p.perms)
+        self.page(addr.page_base()).map(|p| p.perms)
     }
 
     /// True when the full range is mapped (an empty range: the page
     /// holding `addr`).
     pub fn is_mapped(&self, addr: Addr, len: u64) -> bool {
-        self.mapped_span(addr, len).is_some()
-    }
-
-    /// The [`page_span`] of a range, when every page in it is mapped.
-    fn mapped_span(&self, addr: Addr, len: u64) -> Option<(u64, u64)> {
-        let (first, last) = page_span(addr, len)?;
-        // Keys are page bases, so the span is mapped exactly when it
-        // holds one key per page.
-        let pages = self.pages.range(first..=last).count() as u64;
-        (pages == (last - first) / PAGE_SIZE + 1).then_some((first, last))
+        self.mapped_pages(addr, len).is_some()
     }
 
     /// Reads `len` bytes starting at `addr`, checking read permission on
@@ -311,7 +349,7 @@ impl AddressSpace {
         let mut cur = addr;
         let mut remaining = len;
         while remaining > 0 {
-            let page = self.pages.get(&cur.page_base()).expect("checked");
+            let page = self.page(cur.page_base()).expect("checked");
             let off = cur.page_offset() as usize;
             let take = remaining.min(PAGE_SIZE - cur.page_offset()) as usize;
             out.extend_from_slice(&page.data[off..off + take]);
@@ -334,10 +372,11 @@ impl AddressSpace {
         let mut cur = addr;
         let mut src = bytes;
         while !src.is_empty() {
-            let base = cur.page_base();
             let off = cur.page_offset() as usize;
             let take = src.len().min((PAGE_SIZE - cur.page_offset()) as usize);
-            let page = self.pages.get_mut(&base).expect("checked");
+            let page = self.pages[slot_of(cur.page_base()) as usize]
+                .as_mut()
+                .expect("checked");
             page.data[off..off + take].copy_from_slice(&src[..take]);
             page.writes += 1;
             cur = cur.offset(take as u64);
@@ -358,53 +397,55 @@ impl AddressSpace {
     /// so an unchanged sum proves the range's bytes did not change (the
     /// bump allocator never reuses addresses, ruling out remap aliasing).
     pub fn write_epoch(&self, addr: Addr, len: u64) -> Option<u64> {
-        let first = addr.page_base();
-        let last = Addr(addr.0 + len.saturating_sub(1)).page_base();
-        let mut sum = 0u64;
-        let mut p = first;
-        while p <= last {
-            sum += self.pages.get(&p)?.writes;
-            p += PAGE_SIZE;
+        let (slots, whole) = self.span(addr, len);
+        if !whole {
+            return None;
         }
-        Some(sum)
+        self.pages[slots]
+            .iter()
+            .map(|page| page.as_ref().map(|page| page.writes))
+            .sum()
     }
 
     /// Number of mapped pages.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.mapped
     }
 
     /// Total mapped bytes.
     pub fn mapped_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE
+        self.mapped as u64 * PAGE_SIZE
     }
 
+    /// Checks `needed` on every page covering a non-empty range, faulting
+    /// at the first page, in address order, that is unmapped or lacks it.
     fn check(&self, addr: Addr, len: u64, needed: Perms) -> AccessResult<()> {
         if len == 0 {
             return Ok(());
         }
-        let first = addr.page_base();
-        let last = Addr(addr.0 + len - 1).page_base();
-        let mut p = first;
-        while p <= last {
-            match self.pages.get(&p) {
+        let (slots, whole) = self.span(addr, len);
+        for page in &self.pages[slots] {
+            match page {
                 None => return Err(FaultKind::Unmapped),
                 Some(page) if !page.perms.allows(needed) => {
                     return Err(FaultKind::Protection);
                 }
                 Some(_) => {}
             }
-            p += PAGE_SIZE;
         }
-        Ok(())
+        if whole {
+            Ok(())
+        } else {
+            Err(FaultKind::Unmapped)
+        }
     }
 }
 
 impl fmt::Debug for AddressSpace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AddressSpace")
-            .field("pages", &self.pages.len())
-            .field("brk", &format_args!("{:#x}", self.brk))
+            .field("pages", &self.mapped)
+            .field("brk", &format_args!("{:#x}", self.brk()))
             .finish()
     }
 }
