@@ -4,8 +4,8 @@
 //! per-API required sets, then unions them per API type to produce the
 //! allowlist each agent process gets.
 
-use crate::dynamic::{analyze_all, TestCorpus};
-use crate::static_analysis::analyze;
+use crate::dynamic::TestCorpus;
+use crate::hybrid::{categorize, HybridReport};
 use freepart_frameworks::api::{ApiId, ApiRegistry, ApiType};
 use freepart_simos::SyscallNo;
 use std::collections::{BTreeMap, BTreeSet};
@@ -21,13 +21,21 @@ impl SyscallProfile {
     /// declared profile (the implementation's requirements), static IR
     /// evidence, and dynamic trace evidence.
     pub fn build(reg: &ApiRegistry, corpus: &TestCorpus) -> SyscallProfile {
-        let dynamic = analyze_all(reg, corpus);
+        SyscallProfile::from_report(reg, &categorize(reg, corpus))
+    }
+
+    /// [`SyscallProfile::build`] from the static and dynamic evidence a
+    /// hybrid report over `reg` already holds, so a caller that needs
+    /// both runs the dynamic analysis once.
+    pub fn from_report(reg: &ApiRegistry, report: &HybridReport) -> SyscallProfile {
         let mut per_api = BTreeMap::new();
         for spec in reg.iter() {
             let mut set: BTreeSet<SyscallNo> = spec.syscall_profile.iter().copied().collect();
-            set.extend(analyze(spec).syscalls);
-            if let Some(d) = dynamic.get(&spec.id) {
-                set.extend(d.syscalls.iter().copied());
+            if let Some(cat) = report.per_api.get(&spec.id) {
+                set.extend(cat.static_result.syscalls.iter().copied());
+                if let Some(d) = &cat.dynamic_result {
+                    set.extend(d.syscalls.iter().copied());
+                }
             }
             per_api.insert(spec.id, set);
         }

@@ -23,10 +23,9 @@ pub fn shared_analysis() -> &'static (HybridReport, SyscallProfile) {
     CELL.get_or_init(|| {
         let reg = standard_registry();
         let corpus = freepart_analysis::TestCorpus::full(&reg);
-        (
-            freepart_analysis::categorize(&reg, &corpus),
-            SyscallProfile::build(&reg, &corpus),
-        )
+        let report = freepart_analysis::categorize(&reg, &corpus);
+        let profile = SyscallProfile::from_report(&reg, &report);
+        (report, profile)
     })
 }
 

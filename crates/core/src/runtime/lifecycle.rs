@@ -304,12 +304,12 @@ impl Runtime {
                 };
                 match restored {
                     Ok(addr) => {
-                        if let Some(meta) = self.objects.meta_mut(entry.object) {
-                            meta.home = new_pid;
-                            meta.buffer = Some((addr, entry.bytes.len() as u64));
-                            meta.kind = entry.kind.clone();
-                            meta.label = entry.label.clone();
+                        let buffer = (addr, entry.bytes.len() as u64);
+                        self.objects.rehome(entry.object, new_pid, Some(buffer));
+                        if let Some(kind) = self.objects.kind_mut(entry.object) {
+                            *kind = entry.kind.clone();
                         }
+                        self.objects.set_label(entry.object, &entry.label);
                         self.reapply_all(entry.object);
                     }
                     Err(reason) => {

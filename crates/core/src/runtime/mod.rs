@@ -453,7 +453,7 @@ impl Runtime {
     pub fn install(reg: ApiRegistry, policy: Policy) -> Runtime {
         let corpus = TestCorpus::full(&reg);
         let report = freepart_analysis::categorize(&reg, &corpus);
-        let profile = SyscallProfile::build(&reg, &corpus);
+        let profile = SyscallProfile::from_report(&reg, &report);
         Runtime::install_with(reg, report, profile, policy)
     }
 

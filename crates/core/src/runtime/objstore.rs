@@ -304,9 +304,7 @@ impl Runtime {
         // length under `bytes_shm` so payload-size estimators keep
         // seeing this object's traffic after promotion.
         self.tracer.add_shm_bytes(seq, len);
-        if let Some(m) = self.objects.meta_mut(obj) {
-            m.home = agent;
-        }
+        self.objects.rehome(obj, agent, None);
         Ok(())
     }
 

@@ -175,7 +175,7 @@ fn new_mat(
         label,
         &img.data,
     )?;
-    ctx.objects.meta_mut(id).expect("just created").taint = taint;
+    ctx.objects.set_taint(id, taint);
     Ok(Value::Obj(id))
 }
 
@@ -194,7 +194,7 @@ fn new_tensor(
         label,
         &t.to_bytes(),
     )?;
-    ctx.objects.meta_mut(id).expect("just created").taint = taint;
+    ctx.objects.set_taint(id, taint);
     Ok(Value::Obj(id))
 }
 
@@ -391,10 +391,8 @@ pub fn execute(reg: &ApiRegistry, api: ApiId, args: &[Value], ctx: &mut ApiCtx<'
             ctx.syscall(Syscall::Select { fds: vec![cam_fd] })?;
             let frame = ctx.syscall(Syscall::Read { fd: cam_fd, len: 0 })?.bytes();
             ctx.record_flow(FlowOp::write(Storage::Mem, Storage::Dev));
-            if let Some(m) = ctx.objects.meta_mut(meta.id) {
-                if let ObjectKind::Capture { frames_read } = &mut m.kind {
-                    *frames_read += 1;
-                }
+            if let Some(ObjectKind::Capture { frames_read }) = ctx.objects.kind_mut(meta.id) {
+                *frames_read += 1;
             }
             let img = Image::from_bytes(CAMERA_W, CAMERA_H, CAMERA_CH, frame);
             charge(ctx, &spec, img.samples());
@@ -437,8 +435,8 @@ pub fn execute(reg: &ApiRegistry, api: ApiId, args: &[Value], ctx: &mut ApiCtx<'
                 &path,
                 &bytes,
             )?;
-            ctx.objects.meta_mut(id).expect("just created").taint =
-                payload.filter(|p| !spec.vulnerable_to(&p.cve));
+            ctx.objects
+                .set_taint(id, payload.filter(|p| !spec.vulnerable_to(&p.cve)));
             Ok(Value::Obj(id))
         }
         ApiKind::DetectMultiScale => {

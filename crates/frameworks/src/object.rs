@@ -148,6 +148,15 @@ impl ObjectMeta {
 pub struct ObjectStore {
     next: u64,
     objects: BTreeMap<ObjectId, ObjectMeta>,
+    /// The residency journal: every change of an object's `home`,
+    /// `buffer` or `shm`, and every destruction, takes the next sequence
+    /// number. Only each object's latest change is kept, keyed by its
+    /// number, so the journal never outgrows the objects ever moved.
+    moves: BTreeMap<u64, ObjectId>,
+    /// Each journaled object's latest sequence number in `moves`.
+    moved_at: BTreeMap<ObjectId, u64>,
+    /// The last sequence number handed out.
+    move_seq: u64,
 }
 
 impl ObjectStore {
@@ -209,9 +218,55 @@ impl ObjectStore {
         self.objects.get(&id)
     }
 
-    /// Mutable metadata access (kind updates for stateful objects).
-    pub fn meta_mut(&mut self, id: ObjectId) -> Option<&mut ObjectMeta> {
-        self.objects.get_mut(&id)
+    /// Mutable access to an object's kind (the state of stateful
+    /// objects, such as a capture's frame cursor).
+    pub fn kind_mut(&mut self, id: ObjectId) -> Option<&mut ObjectKind> {
+        self.objects.get_mut(&id).map(|m| &mut m.kind)
+    }
+
+    /// Marks an object as carrying (or no longer carrying) malformed
+    /// content.
+    pub fn set_taint(&mut self, id: ObjectId, taint: Option<crate::exploit::ExploitPayload>) {
+        if let Some(m) = self.objects.get_mut(&id) {
+            m.taint = taint;
+        }
+    }
+
+    /// Re-homes an object to `home`, its payload now at `buffer` there
+    /// when given (a restored snapshot), else where it was (a shared
+    /// segment gaining a new user). Journaled.
+    pub fn rehome(&mut self, id: ObjectId, home: Pid, buffer: Option<(Addr, u64)>) {
+        if let Some(m) = self.objects.get_mut(&id) {
+            m.home = home;
+            if buffer.is_some() {
+                m.buffer = buffer;
+            }
+            self.journal(id);
+        }
+    }
+
+    /// Records a change of `id`'s residency (or its destruction) in the
+    /// journal, replacing its previous entry.
+    fn journal(&mut self, id: ObjectId) {
+        self.move_seq += 1;
+        if let Some(old) = self.moved_at.insert(id, self.move_seq) {
+            self.moves.remove(&old);
+        }
+        self.moves.insert(self.move_seq, id);
+    }
+
+    /// The journal's latest sequence number: pass it to
+    /// [`ObjectStore::moved_since`] later to see what moved in between.
+    pub fn move_seq(&self) -> u64 {
+        self.move_seq
+    }
+
+    /// Objects whose `home`, `buffer` or `shm` changed, or that were
+    /// destroyed, after sequence number `seq` (a value
+    /// [`ObjectStore::move_seq`] returned), each once, in the order of
+    /// their latest change. O(objects moved since `seq`).
+    pub fn moved_since(&self, seq: u64) -> impl Iterator<Item = ObjectId> + '_ {
+        self.moves.range(seq + 1..).map(|(_, &id)| id)
     }
 
     /// Relabels an object (host-side annotation of critical data).
@@ -266,6 +321,7 @@ impl ObjectStore {
                 let addr = kernel.alloc(meta.home, data.len().max(1) as u64, Perms::RW)?;
                 kernel.mem_write(meta.home, addr, data)?;
                 meta.buffer = Some((addr, data.len() as u64));
+                self.journal(id);
                 Ok(())
             }
         }
@@ -287,12 +343,12 @@ impl ObjectStore {
             // Shm-resident payloads never move: hand `dst` a view.
             kernel.shm_grant(seg, dst, Perms::RW)?;
             kernel.shm_map(dst, seg)?;
-            self.objects.get_mut(&id).expect("live").home = dst;
+            self.rehome(id, dst, None);
             return Ok(());
         }
         match meta.buffer {
             None => {
-                self.objects.get_mut(&id).expect("live").home = dst;
+                self.rehome(id, dst, None);
                 Ok(())
             }
             Some((addr, len)) => {
@@ -300,9 +356,7 @@ impl ObjectStore {
                 let new_addr = kernel.alloc(dst, len.max(1), Perms::RW)?;
                 kernel.mem_write(dst, new_addr, &data)?;
                 kernel.charge_copy(len);
-                let meta = self.objects.get_mut(&id).expect("live");
-                meta.home = dst;
-                meta.buffer = Some((new_addr, len));
+                self.rehome(id, dst, Some((new_addr, len)));
                 Ok(())
             }
         }
@@ -333,6 +387,7 @@ impl ObjectStore {
         let meta = self.objects.get_mut(&id).expect("live");
         meta.buffer = None;
         meta.shm = Some((seg, len));
+        self.journal(id);
         Ok(Some(seg))
     }
 
@@ -354,12 +409,12 @@ impl ObjectStore {
             // A shared segment needs no intermediary hop either.
             kernel.shm_grant(seg, dst, Perms::RW)?;
             kernel.shm_map(dst, seg)?;
-            self.objects.get_mut(&id).expect("live").home = dst;
+            self.rehome(id, dst, None);
             return Ok(());
         }
         match meta.buffer {
             None => {
-                self.objects.get_mut(&id).expect("live").home = dst;
+                self.rehome(id, dst, None);
                 Ok(())
             }
             Some((addr, len)) => {
@@ -372,9 +427,7 @@ impl ObjectStore {
                 let dst_addr = kernel.alloc(dst, len.max(1), Perms::RW)?;
                 kernel.mem_write(dst, dst_addr, &data)?;
                 kernel.charge_copy(len);
-                let meta = self.objects.get_mut(&id).expect("live");
-                meta.home = dst;
-                meta.buffer = Some((dst_addr, len));
+                self.rehome(id, dst, Some((dst_addr, len)));
                 Ok(())
             }
         }
@@ -410,14 +463,16 @@ impl ObjectStore {
             }
         };
         // Malformed content stays malformed when copied.
-        self.objects.get_mut(&new_id).expect("just created").taint = meta.taint;
+        self.set_taint(new_id, meta.taint);
         Ok(new_id)
     }
 
     /// Drops an object (its buffer stays mapped; the simulation never
     /// reuses addresses, so dangling references fault realistically).
     pub fn destroy(&mut self, id: ObjectId) -> Option<ObjectMeta> {
-        self.objects.remove(&id)
+        let meta = self.objects.remove(&id)?;
+        self.journal(id);
+        Some(meta)
     }
 
     /// All live objects homed in `pid`.
@@ -484,6 +539,31 @@ mod tests {
         let tail: Vec<ObjectId> = store.ids_since(mark).collect();
         assert_eq!(tail, vec![second]);
         assert!(store.ids_since(0).any(|id| id == first));
+    }
+
+    #[test]
+    fn residency_changes_are_journaled_once_per_object() {
+        let (mut k, a, b, mut store) = setup();
+        let x = store
+            .create_with_data(&mut k, a, ObjectKind::Blob, "x", &[1; 64])
+            .unwrap();
+        let y = store
+            .create_with_data(&mut k, a, ObjectKind::Blob, "y", &[2; 64])
+            .unwrap();
+        let mark = store.move_seq();
+        assert_eq!(store.moved_since(mark).count(), 0, "creation is not a move");
+        store.migrate_direct(&mut k, x, b).unwrap();
+        store.set_label(y, "relabelled");
+        store.write_bytes(&mut k, y, &[3; 64]).unwrap();
+        assert_eq!(store.moved_since(mark).collect::<Vec<_>>(), vec![x]);
+        store.write_bytes(&mut k, y, &[4; 8]).unwrap();
+        store.promote_to_shm(&mut k, x).unwrap();
+        store.destroy(y);
+        // Each object once, in the order of its latest change.
+        assert_eq!(store.moved_since(mark).collect::<Vec<_>>(), vec![x, y]);
+        let later = store.move_seq();
+        store.rehome(x, a, None);
+        assert_eq!(store.moved_since(later).collect::<Vec<_>>(), vec![x]);
     }
 
     #[test]

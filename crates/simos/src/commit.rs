@@ -22,7 +22,7 @@
 use crate::cost::CostModel;
 use crate::error::{Fault, FaultKind, SimError};
 use crate::ipc::ChannelId;
-use crate::mem::{Addr, Perms};
+use crate::mem::{Addr, GroupKey, Perms};
 use crate::process::Pid;
 use crate::shm::ShmId;
 use crate::syscall::{Syscall, SyscallRet};
@@ -91,13 +91,15 @@ pub enum CommitOp {
         addr: Addr,
         bytes: Vec<u8>,
     },
-    /// Harness-level protection change of every `(pid, addr, len)`
-    /// range to `perms`, applied atomically: all ranges are validated
-    /// before any page changes. A transition storm is one such op per
-    /// direction.
+    /// Harness-level protection change to `perms` of every `(pid, addr,
+    /// len)` range and of every page group a [`GroupMove`] flips, applied
+    /// atomically: everything is validated before any page changes. A
+    /// transition storm is one such op per direction, its pages named by
+    /// group.
     Protect {
         perms: Perms,
         ranges: Vec<(Pid, Addr, u64)>,
+        groups: Vec<GroupMove>,
     },
     /// Shared-memory segment creation (payload adopted, owner granted RW).
     ShmCreate { owner: Pid, bytes: Vec<u8> },
@@ -169,7 +171,40 @@ pub enum CommitOp {
     PushKey { key: u8 },
 }
 
+/// One process's page-group move in a [`CommitOp::Protect`]: the
+/// `leave` ranges drop out of group `from` and the `join` ranges enter
+/// it, then every page of `from` moves to the op's permissions and `from`
+/// empties into `to` (see [`AddressSpace::flip`]).
+///
+/// [`AddressSpace::flip`]: crate::AddressSpace::flip
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GroupMove {
+    /// The process whose address space holds both groups.
+    pub pid: Pid,
+    /// Stale member ranges dropped from `from` first.
+    pub leave: Vec<(Addr, u64)>,
+    /// Ranges joining `from` before it flips.
+    pub join: Vec<(Addr, u64)>,
+    /// The group whose pages change.
+    pub from: GroupKey,
+    /// The group `from`'s members end up in.
+    pub to: GroupKey,
+}
+
 impl CommitOp {
+    /// Every process a protect op names, ranges first, in op order
+    /// (empty for any other op).
+    pub fn protect_pids(&self) -> impl Iterator<Item = Pid> + '_ {
+        let (ranges, groups) = match self {
+            CommitOp::Protect { ranges, groups, .. } => (&ranges[..], &groups[..]),
+            _ => (&[][..], &[][..]),
+        };
+        ranges
+            .iter()
+            .map(|r| r.0)
+            .chain(groups.iter().map(|g| g.pid))
+    }
+
     /// Short stable name of the operation, for reports and forensics.
     pub fn name(&self) -> &'static str {
         use CommitOp as O;
@@ -216,13 +251,14 @@ impl CommitOp {
     }
 
     /// The process the operation acts on behalf of, when one exists. A
-    /// protect batch has one only when every range names the same pid.
+    /// protect batch has one only when all its ranges and group moves
+    /// name the same pid.
     pub fn acting_pid(&self) -> Option<Pid> {
         use CommitOp as O;
         match self {
-            O::Protect { ranges, .. } => {
-                let (first, ..) = *ranges.first()?;
-                ranges.iter().all(|r| r.0 == first).then_some(first)
+            O::Protect { .. } => {
+                let first = self.protect_pids().next()?;
+                self.protect_pids().all(|pid| pid == first).then_some(first)
             }
             O::DeliverFault { pid, .. }
             | O::Reap { pid }

@@ -16,9 +16,9 @@ use crate::mem::Perms;
 use crate::process::{FdTarget, Pid, ProcessState};
 use crate::syscall::{Syscall, SyscallRet};
 
-use super::effects::{Counter, Effects};
+use super::effects::Effects;
 use super::state::KernelState;
-use super::step::crash;
+use super::step::{charge_protect, crash};
 
 /// Executes one already-filter-checked syscall body for `pid`.
 pub(super) fn dispatch(
@@ -166,11 +166,14 @@ pub(super) fn dispatch(
 
         // ---------------- memory ----------------
         S::Brk { grow } => {
-            let addr = state.process_mut(pid)?.aspace.alloc(grow.max(1), Perms::RW);
+            let addr = state
+                .process_mut(pid)?
+                .aspace
+                .alloc(grow.max(1), Perms::RW)?;
             Ok(SyscallRet::Mapped(addr))
         }
         S::Mmap { len, perms } => {
-            let addr = state.process_mut(pid)?.aspace.alloc(len.max(1), perms);
+            let addr = state.process_mut(pid)?.aspace.alloc(len.max(1), perms)?;
             Ok(SyscallRet::Mapped(addr))
         }
         S::Munmap { addr, len } => {
@@ -185,11 +188,7 @@ pub(super) fn dispatch(
             let p = state.procs.get_mut(&pid).expect("checked");
             match p.aspace.protect(addr, len, perms) {
                 Ok(changed) => {
-                    if changed > 0 {
-                        let ns = state.cost.mprotect_cost(changed);
-                        state.charge_to(fx, pid, ns);
-                        state.bump(fx, Counter::ProtectedPages, changed);
-                    }
+                    charge_protect(state, fx, pid, changed);
                     Ok(SyscallRet::Num(changed))
                 }
                 Err(_) => Err(Errno::Einval.into()),

@@ -16,7 +16,7 @@
 //! draws no external entropy. In debug builds every transition is
 //! followed by [`KernelState::check_invariants`].
 
-use crate::commit::{err_summary, CommitOp, CommitOutcome, OpSummary};
+use crate::commit::{err_summary, CommitOp, CommitOutcome, GroupMove, OpSummary};
 use crate::cost::VirtualClock;
 use crate::device::{Camera, WindowId};
 use crate::error::{Errno, Fault, FaultKind, SimError};
@@ -141,18 +141,26 @@ pub(super) fn crash(
     fault
 }
 
-/// Moves every `(pid, addr, len)` range to `perms` and returns the total
-/// number of pages that changed. Every range is validated first — its
-/// pid running, its pages mapped — so a batch either applies whole or
-/// fails with the first bad range's error having changed nothing, like
-/// a single [`AddressSpace::protect`](crate::AddressSpace::protect).
-/// Each range's changed pages are charged to its own pid; pages already
-/// at `perms` cost nothing.
-fn protect_ranges(
+/// Moves every `(pid, addr, len)` range, and every page group a
+/// [`GroupMove`] flips, to `perms`; returns the total number of pages
+/// that changed. Everything is validated first — each pid running, each
+/// range and joining range mapped, each flipped group mapped once its
+/// leaving ranges are gone, no pid with two group moves (so no move can
+/// change what another was validated against) — so a batch either
+/// applies whole or fails with the first bad entry's error having
+/// changed nothing, like a single
+/// [`AddressSpace::protect`](crate::AddressSpace::protect).
+///
+/// A range's changed pages are charged to its pid; a group move's are
+/// charged once, in one sum, to its pid (the cost is linear in pages, so
+/// the totals equal per-range charging). Pages already at `perms` cost
+/// nothing.
+fn protect(
     state: &mut KernelState,
     fx: &mut Effects,
     perms: Perms,
     ranges: &[(Pid, Addr, u64)],
+    groups: &[GroupMove],
 ) -> Result<u64, SimError> {
     for &(pid, addr, len) in ranges {
         state.require_running(pid)?;
@@ -160,18 +168,49 @@ fn protect_ranges(
             return Err(SimError::Errno(Errno::Einval));
         }
     }
+    for (i, g) in groups.iter().enumerate() {
+        state.require_running(g.pid)?;
+        if groups[..i].iter().any(|other| other.pid == g.pid) {
+            return Err(SimError::Errno(Errno::Einval));
+        }
+        let aspace = &state.procs[&g.pid].aspace;
+        let joins = g
+            .join
+            .iter()
+            .all(|&(addr, len)| aspace.is_mapped(addr, len));
+        if !joins || !aspace.group_mapped(g.from, &g.leave) {
+            return Err(SimError::Errno(Errno::Einval));
+        }
+    }
     let mut total = 0;
     for &(pid, addr, len) in ranges {
         let p = state.procs.get_mut(&pid).expect("validated");
         let changed = p.aspace.protect(addr, len, perms).expect("validated");
-        if changed > 0 {
-            let ns = state.cost.mprotect_cost(changed);
-            state.charge_to(fx, pid, ns);
-            state.bump(fx, Counter::ProtectedPages, changed);
+        charge_protect(state, fx, pid, changed);
+        total += changed;
+    }
+    for g in groups {
+        let aspace = &mut state.procs.get_mut(&g.pid).expect("validated").aspace;
+        for &(addr, len) in &g.leave {
+            aspace.leave(g.from, addr, len);
         }
+        for &(addr, len) in &g.join {
+            aspace.join(g.from, addr, len).expect("validated");
+        }
+        let changed = aspace.flip(g.from, g.to, perms).expect("validated");
+        charge_protect(state, fx, g.pid, changed);
         total += changed;
     }
     Ok(total)
+}
+
+/// Charges `pid` for `changed` re-protected pages.
+pub(super) fn charge_protect(state: &mut KernelState, fx: &mut Effects, pid: Pid, changed: u64) {
+    if changed > 0 {
+        let ns = state.cost.mprotect_cost(changed);
+        state.charge_to(fx, pid, ns);
+        state.bump(fx, Counter::ProtectedPages, changed);
+    }
 }
 
 #[allow(clippy::too_many_lines)]
@@ -242,7 +281,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
         // ---------------- memory ----------------
         O::Alloc { pid, len, perms } => {
             state.require_running(*pid)?;
-            let addr = state.process_mut(*pid)?.aspace.alloc(*len, *perms);
+            let addr = state.process_mut(*pid)?.aspace.alloc(*len, *perms)?;
             Ok(StepValue::Addr(addr))
         }
         O::MemWrite { pid, addr, bytes } => {
@@ -254,9 +293,11 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
                 Err(kind) => Err(crash(state, fx, pid, kind, Some(addr)).into()),
             }
         }
-        O::Protect { perms, ranges } => {
-            protect_ranges(state, fx, *perms, ranges).map(StepValue::Num)
-        }
+        O::Protect {
+            perms,
+            ranges,
+            groups,
+        } => protect(state, fx, *perms, ranges, groups).map(StepValue::Num),
 
         // ---------------- shared memory ----------------
         O::ShmCreate { owner, bytes } => {

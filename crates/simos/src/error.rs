@@ -38,6 +38,8 @@ pub enum Errno {
     Enospc,
     /// Function not implemented on this device/fd.
     Enosys,
+    /// Out of memory: the process's page budget is spent (`RLIMIT_AS`).
+    Enomem,
 }
 
 impl fmt::Display for Errno {
@@ -51,6 +53,7 @@ impl fmt::Display for Errno {
             Errno::Eagain => "EAGAIN",
             Errno::Enospc => "ENOSPC",
             Errno::Enosys => "ENOSYS",
+            Errno::Enomem => "ENOMEM",
         };
         f.write_str(name)
     }

@@ -34,7 +34,7 @@
 //! recording, and exposing the pure reads of the underlying
 //! [`KernelState`] via `Deref`.
 
-use crate::commit::{CommitLog, CommitOp};
+use crate::commit::{CommitLog, CommitOp, GroupMove};
 use crate::core::effects::Effects;
 use crate::core::state::KernelState;
 use crate::core::step::{step, step_ref, StepResult, StepValue};
@@ -64,6 +64,9 @@ pub struct Kernel {
     commit: Option<CommitLog>,
     /// Reusable effects buffer for the last step (cleared per step).
     fx: Effects,
+    /// Page-group namespaces handed out (see [`Kernel::group_namespace`]).
+    /// Host-side bookkeeping: the keys themselves travel in the ops.
+    group_namespaces: u32,
 }
 
 impl Default for Kernel {
@@ -103,6 +106,7 @@ impl Kernel {
             state,
             commit: None,
             fx: Effects::new(),
+            group_namespaces: 0,
         }
     }
 
@@ -322,7 +326,8 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Fails when the process is unknown or dead.
+    /// Fails when the process is unknown or dead, and with `ENOMEM` past
+    /// the per-process page budget ([`MAX_PAGES`](crate::MAX_PAGES)).
     pub fn alloc(&mut self, pid: Pid, len: u64, perms: Perms) -> SimResult<Addr> {
         match self.do_step(CommitOp::Alloc { pid, len, perms })? {
             StepValue::Addr(addr) => Ok(addr),
@@ -409,10 +414,49 @@ impl Kernel {
         perms: Perms,
         ranges: Vec<(Pid, Addr, u64)>,
     ) -> SimResult<u64> {
-        match self.do_step(CommitOp::Protect { perms, ranges })? {
+        self.protect_op(perms, ranges, Vec::new())
+    }
+
+    /// Moves whole page groups to `perms` as one kernel op: per
+    /// [`GroupMove`], its `leave` ranges drop out of group `from`, its
+    /// `join` ranges enter it, every page of `from` moves to `perms`, and
+    /// `from` empties into `to`. Atomic like [`Kernel::protect_ranges`],
+    /// and charged the same: each move's changed pages go to its pid.
+    /// Returns the total number of changed pages.
+    ///
+    /// # Errors
+    ///
+    /// The first bad move's error: unknown or dead pid, or `EINVAL` when
+    /// a joining range or a page of `from` is unmapped.
+    pub fn protect_groups(&mut self, perms: Perms, groups: Vec<GroupMove>) -> SimResult<u64> {
+        self.protect_op(perms, Vec::new(), groups)
+    }
+
+    fn protect_op(
+        &mut self,
+        perms: Perms,
+        ranges: Vec<(Pid, Addr, u64)>,
+        groups: Vec<GroupMove>,
+    ) -> SimResult<u64> {
+        let op = CommitOp::Protect {
+            perms,
+            ranges,
+            groups,
+        };
+        match self.do_step(op)? {
             StepValue::Num(changed) => Ok(changed),
             _ => unreachable!("protect returns changed pages"),
         }
+    }
+
+    /// A group namespace no other caller of this kernel has been given:
+    /// callers build their [`GroupKey`](crate::GroupKey)s under it, so
+    /// two clients never name the same group. Deterministic — the
+    /// namespaces count up from zero per kernel.
+    pub fn group_namespace(&mut self) -> u32 {
+        let ns = self.group_namespaces;
+        self.group_namespaces += 1;
+        ns
     }
 
     // ------------------------------------------------------------------
@@ -1291,5 +1335,57 @@ mod tests {
             k.last_effects().is_empty(),
             "a failed batch charges nothing"
         );
+    }
+
+    #[test]
+    fn group_moves_flip_whole_groups_atomically_and_replay() {
+        let mut k = Kernel::new();
+        k.enable_commit_log();
+        k.enable_per_process_time();
+        let a = k.spawn("a");
+        let b = k.spawn("b");
+        let ra = k.alloc(a, 2 * PAGE_SIZE, Perms::RW).unwrap();
+        let rb = k.alloc(b, 1, Perms::RW).unwrap();
+        let (w, l) = (crate::GroupKey(0), crate::GroupKey(1));
+        let mv = |pid, join: Vec<(Addr, u64)>, from, to| GroupMove {
+            pid,
+            leave: Vec::new(),
+            join,
+            from,
+            to,
+        };
+        // Lock: each range joins `w`, which flips into `l`, charged per pid.
+        let (ta, tb) = (k.timeline_ns(a), k.timeline_ns(b));
+        let lock = vec![
+            mv(a, vec![(ra, 2 * PAGE_SIZE)], w, l),
+            mv(b, vec![(rb, 1)], w, l),
+        ];
+        assert_eq!(k.protect_groups(Perms::R, lock), Ok(3));
+        assert_eq!(k.timeline_ns(a) - ta, k.cost.mprotect_cost(2));
+        assert_eq!(k.timeline_ns(b) - tb, k.cost.mprotect_cost(1));
+        assert_eq!(k.process(a).unwrap().aspace.group(l), vec![(ra, 2)]);
+        // Two moves naming one pid are refused whole.
+        let before = (k.state_digest(), k.metrics().protected_pages);
+        let twice = vec![mv(a, Vec::new(), l, w), mv(a, Vec::new(), l, w)];
+        assert_eq!(
+            k.protect_groups(Perms::RW, twice),
+            Err(SimError::Errno(Errno::Einval))
+        );
+        assert_eq!((k.state_digest(), k.metrics().protected_pages), before);
+        // Unlock names no range: the group alone says which pages move.
+        assert_eq!(
+            k.protect_groups(Perms::RW, vec![mv(a, Vec::new(), l, w)]),
+            Ok(2)
+        );
+        assert_eq!(k.process(a).unwrap().aspace.perms_at(ra), Some(Perms::RW));
+        // A wild munmap of a member page fails the next flip whole.
+        k.syscall(a, Syscall::Munmap { addr: ra, len: 1 }).unwrap();
+        assert_eq!(
+            k.protect_groups(Perms::R, vec![mv(a, Vec::new(), w, l)]),
+            Err(SimError::Errno(Errno::Einval))
+        );
+        let log = k.take_commit_log().unwrap();
+        let (_, report) = crate::replay::replay(&log);
+        assert!(report.is_clean(), "divergences: {:?}", report.divergences);
     }
 }

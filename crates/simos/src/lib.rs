@@ -69,7 +69,7 @@ pub mod shm;
 pub mod syscall;
 
 pub use crate::core::{Counter, Effect, Effects, KernelState, StepValue};
-pub use commit::{CommitLog, CommitOp, CommitOutcome, CommitRecord};
+pub use commit::{CommitLog, CommitOp, CommitOutcome, CommitRecord, GroupMove};
 pub use cost::{CostModel, VirtualClock};
 pub use device::{Camera, DeviceKind, Display, NetworkLog, WindowId};
 pub use error::{Errno, Fault, FaultKind, SimError, SimResult};
@@ -77,7 +77,7 @@ pub use filter::{FdRule, FilterDecision, SyscallFilter};
 pub use fs::SimFs;
 pub use ipc::{ChannelEnd, ChannelId};
 pub use kernel::{Kernel, TimelineMode};
-pub use mem::{Addr, AddressSpace, Perms, PAGE_SIZE};
+pub use mem::{Addr, AddressSpace, GroupKey, Perms, MAX_PAGES, PAGE_SIZE};
 pub use metrics::Metrics;
 pub use process::{Pid, ProcessState, SimProcess};
 pub use replay::{replay, Divergence, DivergenceKind, InvariantViolation, ReplayReport};

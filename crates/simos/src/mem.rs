@@ -1,21 +1,40 @@
-//! Per-process virtual memory: pages, permissions, and `mprotect`.
+//! Per-process virtual memory: pages, permissions, `mprotect`, and page
+//! groups.
 //!
 //! Each [`AddressSpace`] is a dense table of 4 KiB pages, each carrying an
 //! independent [`Perms`] word. The table is indexed by page number above
 //! the heap base: every mapping comes from a bump allocator and addresses
 //! are never reused, so the table only grows at its end and an unmapped
-//! page leaves a hole. Every page lookup is index arithmetic.
+//! page leaves a hole. Every page lookup is index arithmetic. The table
+//! is capped at [`MAX_PAGES`] slots per process, past which an allocation
+//! fails with `ENOMEM` (the simulation's `RLIMIT_AS`), and a page gets its
+//! 4 KiB of backing bytes only on its first write: untouched pages read
+//! as zeros, so a huge `brk` that is never written costs one table slot
+//! per page.
 //!
 //! All loads and stores are mediated here; a permission miss produces the
 //! [`FaultKind`] that the kernel turns into a process crash — this is the
 //! mechanism FreePart's temporal read-only enforcement leans on.
+//!
+//! ## Page groups
+//!
+//! A *page group* is a named list of table-slot runs ([`GroupKey`] →
+//! slots), the MPK-style handle temporal protection flips instead of
+//! walking its objects. [`AddressSpace::join`] adds the pages of a mapped
+//! range, [`AddressSpace::leave`] drops one, and [`AddressSpace::flip`]
+//! moves every page of one group to a permission and empties the group
+//! into another. A group is only an index: the per-page [`Perms`] word
+//! stays the single source of truth, so a flip changes, counts and
+//! faults exactly like [`AddressSpace::protect`] over the group's member
+//! ranges, and `protect`/`unmap` on grouped pages need no special case.
 //!
 //! Addresses are process-virtual: the same numeric address in two address
 //! spaces names unrelated storage, which is precisely the isolation
 //! property cross-process exploits run into.
 
 use crate::commit::{fold_bytes, mix, FINGERPRINT_SEED};
-use crate::error::FaultKind;
+use crate::error::{Errno, FaultKind};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 
@@ -24,6 +43,13 @@ pub const PAGE_SIZE: u64 = 4096;
 
 /// Base of the simulated heap in every address space.
 const HEAP_BASE: u64 = 0x1000_0000;
+
+/// Page-table slots one address space may ever allocate (4 GiB of
+/// address space): a fixed per-process budget, like `RLIMIT_AS`. The
+/// bump allocator never reuses an address, so unmapped holes count
+/// against it too. The largest address space any test, report binary or
+/// benchmark workload builds has 10,308 slots (about 40 MiB).
+pub const MAX_PAGES: u64 = 1 << 20;
 
 /// A process-virtual address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -116,14 +142,19 @@ impl fmt::Display for Perms {
     }
 }
 
-/// One 4 KiB page: backing bytes plus its protection word and a
-/// write-generation counter (the soft-dirty bit of this simulation:
-/// incremental snapshots compare generations across an interval to
-/// prove a payload unchanged without reading it).
+/// Names a page group of one address space. Keys are chosen by the
+/// caller and mean nothing to the kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct GroupKey(pub u64);
+
+/// One 4 KiB page: its protection word, its backing bytes once first
+/// written (demand-zero), and a write-generation counter (the soft-dirty
+/// bit of this simulation: incremental snapshots compare generations
+/// across an interval to prove a payload unchanged without reading it).
 #[derive(Clone)]
 struct Page {
     perms: Perms,
-    data: Vec<u8>,
+    data: Option<Box<[u8]>>,
     writes: u64,
 }
 
@@ -131,11 +162,14 @@ impl Page {
     fn new(perms: Perms) -> Page {
         Page {
             perms,
-            data: vec![0; PAGE_SIZE as usize],
+            data: None,
             writes: 0,
         }
     }
 }
+
+/// A run of page-table slots `[lo, hi)`, a page group's member.
+type Slots = (usize, usize);
 
 /// First and last page bases covering `[addr, addr+len)`; an empty
 /// range covers the page holding `addr`. `None` when the range runs past
@@ -161,7 +195,7 @@ pub(crate) type AccessResult<T> = Result<T, FaultKind>;
 /// use freepart_simos::{AddressSpace, Perms};
 ///
 /// let mut asp = AddressSpace::new();
-/// let a = asp.alloc(100, Perms::RW);
+/// let a = asp.alloc(100, Perms::RW).unwrap();
 /// asp.write(a, b"abc").unwrap();
 /// assert_eq!(asp.read(a, 3).unwrap(), b"abc");
 /// ```
@@ -174,6 +208,10 @@ pub struct AddressSpace {
     pages: Vec<Option<Page>>,
     /// Number of `Some` slots in `pages`.
     mapped: usize,
+    /// Page groups: each key's member slot runs, in join order. Every
+    /// run was mapped when it joined; the table never shrinks, so runs
+    /// always index inside it. Empty groups are removed.
+    groups: BTreeMap<GroupKey, Vec<Slots>>,
     /// Incrementally-maintained mutation fingerprint: every mutating
     /// operation folds an op tag plus its arguments in, so two address
     /// spaces built by the same mutation sequence hash identically
@@ -193,6 +231,7 @@ impl AddressSpace {
         AddressSpace {
             pages: Vec::new(),
             mapped: 0,
+            groups: BTreeMap::new(),
             fp: FINGERPRINT_SEED,
         }
     }
@@ -245,22 +284,30 @@ impl AddressSpace {
     /// and never reuse addresses (a monotone bump allocator keeps
     /// addresses stable and unambiguous for the whole simulation).
     ///
+    /// # Errors
+    ///
+    /// `ENOMEM`, with nothing changed, when the allocation would take the
+    /// table past [`MAX_PAGES`] slots.
+    ///
     /// # Panics
     ///
     /// Panics if `len` is zero: a zero-sized mapping has no meaningful
     /// address and indicates a harness bug.
-    pub fn alloc(&mut self, len: u64, perms: Perms) -> Addr {
+    pub fn alloc(&mut self, len: u64, perms: Perms) -> Result<Addr, Errno> {
         assert!(len > 0, "zero-length allocation");
         let base = self.brk();
         let pages = len.div_ceil(PAGE_SIZE);
-        self.pages
-            .extend((0..pages).map(|_| Some(Page::new(perms))));
+        if pages > MAX_PAGES - self.pages.len() as u64 {
+            return Err(Errno::Enomem);
+        }
+        let end = self.pages.len() + pages as usize;
+        self.pages.resize_with(end, || Some(Page::new(perms)));
         self.mapped += pages as usize;
         self.fp = mix(
             mix(mix(mix(self.fp, 1), base), pages),
             u64::from(perms.bits()),
         );
-        Addr(base)
+        Ok(Addr(base))
     }
 
     /// Unmaps the pages covering `[addr, addr+len)`. Unmapped holes are
@@ -314,6 +361,122 @@ impl AddressSpace {
         Ok(changed)
     }
 
+    /// Adds the pages covering `[addr, addr+len)` to group `key`, as one
+    /// member run.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultKind::Unmapped`], with nothing changed, unless every page
+    /// of the range is mapped.
+    pub fn join(&mut self, key: GroupKey, addr: Addr, len: u64) -> AccessResult<()> {
+        let slots = self.mapped_pages(addr, len).ok_or(FaultKind::Unmapped)?;
+        self.groups
+            .entry(key)
+            .or_default()
+            .push((slots.start, slots.end));
+        self.fp = mix(
+            mix(mix(mix(self.fp, 5), key.0), addr.page_base()),
+            slots.len() as u64,
+        );
+        Ok(())
+    }
+
+    /// The member run a range would join a group as, whether or not its
+    /// pages are still mapped; `None` for a range outside the table.
+    fn run_of(&self, addr: Addr, len: u64) -> Option<Slots> {
+        let (slots, whole) = self.span(addr, len);
+        whole.then_some((slots.start, slots.end))
+    }
+
+    /// Drops the member run the pages covering `[addr, addr+len)` joined
+    /// group `key` as. A range that is not a member is ignored; its
+    /// pages need not be mapped any more.
+    pub fn leave(&mut self, key: GroupKey, addr: Addr, len: u64) {
+        let Some(run) = self.run_of(addr, len) else {
+            return;
+        };
+        let Some(members) = self.groups.get_mut(&key) else {
+            return;
+        };
+        let Some(i) = members.iter().position(|&m| m == run) else {
+            return;
+        };
+        members.swap_remove(i);
+        if members.is_empty() {
+            self.groups.remove(&key);
+        }
+        self.fp = mix(mix(mix(self.fp, 6), key.0), addr.page_base());
+    }
+
+    /// True when every page of group `key` is mapped once the `leaving`
+    /// ranges have left it, one member run each (an empty group is
+    /// mapped).
+    pub fn group_mapped(&self, key: GroupKey, leaving: &[(Addr, u64)]) -> bool {
+        let Some(members) = self.groups.get(&key) else {
+            return true;
+        };
+        let mut leaving: Vec<Slots> = leaving
+            .iter()
+            .filter_map(|&(addr, len)| self.run_of(addr, len))
+            .collect();
+        members.iter().all(|&(lo, hi)| {
+            if let Some(i) = leaving.iter().position(|&run| run == (lo, hi)) {
+                leaving.swap_remove(i);
+                return true;
+            }
+            self.pages[lo..hi].iter().all(Option::is_some)
+        })
+    }
+
+    /// Moves every page of group `from` to `perms` and empties `from`
+    /// into group `to` (it becomes `to` when `to` is empty). Returns the
+    /// number of pages whose permissions changed, exactly as
+    /// [`AddressSpace::protect`] over each member run would.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultKind::Unmapped`], with nothing changed, if any page of
+    /// `from` is unmapped.
+    pub fn flip(&mut self, from: GroupKey, to: GroupKey, perms: Perms) -> AccessResult<u64> {
+        if !self.group_mapped(from, &[]) {
+            return Err(FaultKind::Unmapped);
+        }
+        let Some(mut members) = self.groups.remove(&from) else {
+            return Ok(0);
+        };
+        let mut changed = 0;
+        for &(lo, hi) in &members {
+            for page in self.pages[lo..hi].iter_mut().flatten() {
+                if page.perms != perms {
+                    page.perms = perms;
+                    changed += 1;
+                }
+            }
+        }
+        match self.groups.get_mut(&to) {
+            Some(dst) => dst.append(&mut members),
+            None => {
+                self.groups.insert(to, members);
+            }
+        }
+        self.fp = mix(
+            mix(mix(mix(mix(self.fp, 7), from.0), to.0), changed),
+            u64::from(perms.bits()),
+        );
+        Ok(changed)
+    }
+
+    /// The member runs of group `key` as `(first page base, pages)`, in
+    /// join order (those of a flip's `from` follow `to`'s own).
+    pub fn group(&self, key: GroupKey) -> Vec<(Addr, u64)> {
+        self.groups.get(&key).map_or_else(Vec::new, |members| {
+            members
+                .iter()
+                .map(|&(lo, hi)| (Addr(HEAP_BASE + lo as u64 * PAGE_SIZE), (hi - lo) as u64))
+                .collect()
+        })
+    }
+
     /// True when every page covering `[addr, addr+len)` is mapped and
     /// already at exactly `perms` — i.e. a [`AddressSpace::protect`] call
     /// with these arguments would change nothing.
@@ -352,7 +515,10 @@ impl AddressSpace {
             let page = self.page(cur.page_base()).expect("checked");
             let off = cur.page_offset() as usize;
             let take = remaining.min(PAGE_SIZE - cur.page_offset()) as usize;
-            out.extend_from_slice(&page.data[off..off + take]);
+            match &page.data {
+                Some(data) => out.extend_from_slice(&data[off..off + take]),
+                None => out.resize(out.len() + take, 0),
+            }
             cur = cur.offset(take as u64);
             remaining -= take as u64;
         }
@@ -377,7 +543,10 @@ impl AddressSpace {
             let page = self.pages[slot_of(cur.page_base()) as usize]
                 .as_mut()
                 .expect("checked");
-            page.data[off..off + take].copy_from_slice(&src[..take]);
+            let data = page
+                .data
+                .get_or_insert_with(|| vec![0; PAGE_SIZE as usize].into_boxed_slice());
+            data[off..off + take].copy_from_slice(&src[..take]);
             page.writes += 1;
             cur = cur.offset(take as u64);
             src = &src[take..];
@@ -457,19 +626,19 @@ mod tests {
     #[test]
     fn alloc_is_page_aligned_and_monotone() {
         let mut asp = AddressSpace::new();
-        let a = asp.alloc(1, Perms::RW);
-        let b = asp.alloc(PAGE_SIZE + 1, Perms::RW);
+        let a = asp.alloc(1, Perms::RW).unwrap();
+        let b = asp.alloc(PAGE_SIZE + 1, Perms::RW).unwrap();
         assert_eq!(a.page_offset(), 0);
         assert_eq!(b.page_offset(), 0);
         assert!(b.0 >= a.0 + PAGE_SIZE);
-        let c = asp.alloc(1, Perms::RW);
+        let c = asp.alloc(1, Perms::RW).unwrap();
         assert!(c.0 >= b.0 + 2 * PAGE_SIZE, "two pages for PAGE_SIZE+1");
     }
 
     #[test]
     fn read_write_roundtrip_across_page_boundary() {
         let mut asp = AddressSpace::new();
-        let base = asp.alloc(2 * PAGE_SIZE, Perms::RW);
+        let base = asp.alloc(2 * PAGE_SIZE, Perms::RW).unwrap();
         let addr = base.offset(PAGE_SIZE - 3);
         let data = b"span-the-boundary";
         asp.write(addr, data).unwrap();
@@ -485,7 +654,7 @@ mod tests {
     #[test]
     fn protection_fault_on_readonly_write() {
         let mut asp = AddressSpace::new();
-        let a = asp.alloc(64, Perms::RW);
+        let a = asp.alloc(64, Perms::RW).unwrap();
         asp.write(a, b"ok").unwrap();
         asp.protect(a, 64, Perms::R).unwrap();
         assert_eq!(asp.write(a, b"no"), Err(FaultKind::Protection));
@@ -496,7 +665,7 @@ mod tests {
     #[test]
     fn protect_is_atomic_over_partially_unmapped_range() {
         let mut asp = AddressSpace::new();
-        let a = asp.alloc(PAGE_SIZE, Perms::RW);
+        let a = asp.alloc(PAGE_SIZE, Perms::RW).unwrap();
         // Range extends past the single mapped page.
         assert_eq!(
             asp.protect(a, 2 * PAGE_SIZE, Perms::R),
@@ -513,8 +682,8 @@ mod tests {
     #[test]
     fn fetch_requires_execute() {
         let mut asp = AddressSpace::new();
-        let data = asp.alloc(16, Perms::RW);
-        let code = asp.alloc(16, Perms::RX);
+        let data = asp.alloc(16, Perms::RW).unwrap();
+        let code = asp.alloc(16, Perms::RX).unwrap();
         assert_eq!(asp.fetch(data), Err(FaultKind::Protection));
         assert!(asp.fetch(code).is_ok());
     }
@@ -522,14 +691,14 @@ mod tests {
     #[test]
     fn write_to_execute_only_page_faults() {
         let mut asp = AddressSpace::new();
-        let code = asp.alloc(16, Perms::RX);
+        let code = asp.alloc(16, Perms::RX).unwrap();
         assert_eq!(asp.write(code, b"\x90"), Err(FaultKind::Protection));
     }
 
     #[test]
     fn unmap_removes_pages() {
         let mut asp = AddressSpace::new();
-        let a = asp.alloc(2 * PAGE_SIZE, Perms::RW);
+        let a = asp.alloc(2 * PAGE_SIZE, Perms::RW).unwrap();
         asp.unmap(a, PAGE_SIZE);
         assert!(!asp.is_mapped(a, 1));
         assert!(asp.is_mapped(a.offset(PAGE_SIZE), 1));
@@ -546,9 +715,42 @@ mod tests {
     }
 
     #[test]
+    fn alloc_past_the_page_budget_is_enomem_and_changes_nothing() {
+        let mut asp = AddressSpace::new();
+        let a = asp.alloc(PAGE_SIZE, Perms::RW).unwrap();
+        let fp = asp.fingerprint();
+        assert_eq!(
+            asp.alloc(MAX_PAGES * PAGE_SIZE, Perms::RW),
+            Err(Errno::Enomem)
+        );
+        assert_eq!(asp.alloc(u64::MAX, Perms::RW), Err(Errno::Enomem));
+        assert_eq!((asp.page_count(), asp.fingerprint()), (1, fp));
+        let b = asp.alloc((MAX_PAGES - 1) * PAGE_SIZE, Perms::RW).unwrap();
+        assert_eq!(
+            b.0,
+            a.0 + PAGE_SIZE,
+            "the budget is usable to its last page"
+        );
+        assert_eq!(asp.alloc(1, Perms::RW), Err(Errno::Enomem));
+    }
+
+    #[test]
+    fn untouched_pages_read_as_zeros() {
+        let mut asp = AddressSpace::new();
+        let a = asp.alloc(3 * PAGE_SIZE, Perms::RW).unwrap();
+        asp.write(a.offset(PAGE_SIZE + 10), b"xy").unwrap();
+        let bytes = asp.read(a.offset(PAGE_SIZE - 2), 16).unwrap();
+        assert_eq!(
+            bytes,
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, b'x', b'y', 0, 0]
+        );
+        assert_eq!(asp.write_epoch(a, 3 * PAGE_SIZE), Some(1));
+    }
+
+    #[test]
     fn zero_length_read_of_mapped_page_ok() {
         let mut asp = AddressSpace::new();
-        let a = asp.alloc(8, Perms::RW);
+        let a = asp.alloc(8, Perms::RW).unwrap();
         assert_eq!(asp.read(a, 0).unwrap(), Vec::<u8>::new());
     }
 }

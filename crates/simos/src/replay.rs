@@ -310,8 +310,8 @@ fn entities_of(op: &CommitOp, outcome: CommitOutcome) -> Vec<Entity> {
             out.push(Entity::Proc(*new_b));
         }
         O::SetTimeContext { pid: Some(pid) } => out.push(Entity::Proc(*pid)),
-        // A storm batch touches every range's process.
-        O::Protect { ranges, .. } => out.extend(ranges.iter().map(|r| Entity::Proc(r.0))),
+        // A storm batch touches every process it names.
+        O::Protect { .. } => out.extend(op.protect_pids().map(Entity::Proc)),
         _ => {}
     }
     out

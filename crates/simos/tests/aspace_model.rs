@@ -4,13 +4,16 @@
 //! The model keeps its pages in a plain `BTreeMap` keyed by page base and
 //! spells out the fault order and fingerprint folds of the address space's
 //! contract, so random operation sequences show that the page table's
-//! representation changes nothing observable.
+//! representation changes nothing observable. Its page groups are lists
+//! of page ranges, and a flip is literally a validated `protect` of each
+//! member range, so a group flip must change, count and fault exactly as
+//! per-page protects of its members do.
 
 use freepart_simos::commit::{fold_bytes, mix, FINGERPRINT_SEED};
 use freepart_simos::error::Errno;
 use freepart_simos::{
-    Addr, AddressSpace, FaultKind, Kernel, Perms, SimError, SimResult, Syscall, SyscallRet,
-    PAGE_SIZE,
+    Addr, AddressSpace, FaultKind, GroupKey, Kernel, Perms, SimError, SimResult, Syscall,
+    SyscallRet, PAGE_SIZE,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -20,10 +23,12 @@ use std::time::Duration;
 /// Base of the simulated heap in every address space.
 const HEAP_BASE: u64 = 0x1000_0000;
 
-/// `(perms, bytes, write generation)` per mapped page base.
+/// `(perms, bytes, write generation)` per mapped page base, and each
+/// group's member ranges as `(first page base, last page base)`.
 #[derive(Default)]
 struct Model {
     pages: BTreeMap<u64, (Perms, Vec<u8>, u64)>,
+    groups: BTreeMap<u64, Vec<(u64, u64)>>,
     brk: u64,
     fp: u64,
 }
@@ -38,6 +43,7 @@ impl Model {
     fn new() -> Model {
         Model {
             pages: BTreeMap::new(),
+            groups: BTreeMap::new(),
             brk: HEAP_BASE,
             fp: FINGERPRINT_SEED,
         }
@@ -115,6 +121,66 @@ impl Model {
         Ok(changed)
     }
 
+    /// The `(first, last)` page bases of a range lying inside the heap
+    /// cursor, mapped or not.
+    fn run(&self, addr: u64, len: u64) -> Option<(u64, u64)> {
+        let last = last_page(addr, len)?;
+        (addr >= HEAP_BASE && last < self.brk).then_some((addr & !(PAGE_SIZE - 1), last))
+    }
+
+    fn join(&mut self, key: u64, addr: u64, len: u64) -> Result<(), FaultKind> {
+        if !self.whole(addr, len) {
+            return Err(FaultKind::Unmapped);
+        }
+        let (first, last) = self.run(addr, len).expect("whole");
+        self.groups.entry(key).or_default().push((first, last));
+        let pages = (last - first) / PAGE_SIZE + 1;
+        self.fp = mix(mix(mix(mix(self.fp, 5), key), first), pages);
+        Ok(())
+    }
+
+    fn leave(&mut self, key: u64, addr: u64, len: u64) {
+        let Some(run) = self.run(addr, len) else {
+            return;
+        };
+        let Some(members) = self.groups.get_mut(&key) else {
+            return;
+        };
+        let Some(i) = members.iter().position(|&m| m == run) else {
+            return;
+        };
+        members.swap_remove(i);
+        if members.is_empty() {
+            self.groups.remove(&key);
+        }
+        self.fp = mix(mix(mix(self.fp, 6), key), run.0);
+    }
+
+    /// Protects every member range of `from`, all validated first, then
+    /// appends the members to `to`.
+    fn flip(&mut self, from: u64, to: u64, perms: Perms) -> Result<u64, FaultKind> {
+        let members = self.groups.get(&from).cloned().unwrap_or_default();
+        let len = |(first, last): (u64, u64)| last - first + PAGE_SIZE;
+        if !members.iter().all(|&m| self.whole(m.0, len(m))) {
+            return Err(FaultKind::Unmapped);
+        }
+        if members.is_empty() {
+            return Ok(0);
+        }
+        let fp = self.fp;
+        let mut changed = 0;
+        for &m in &members {
+            changed += self.protect(m.0, len(m), perms).expect("validated");
+        }
+        self.groups.remove(&from);
+        self.groups.entry(to).or_default().extend(members);
+        self.fp = mix(
+            mix(mix(mix(mix(fp, 7), from), to), changed),
+            u64::from(perms.bits()),
+        );
+        Ok(changed)
+    }
+
     fn check(&self, addr: u64, len: u64, needed: Perms) -> Result<(), FaultKind> {
         if len == 0 {
             return Ok(());
@@ -184,6 +250,11 @@ enum Op {
     PermsMatch(Span, u8),
     WriteEpoch(Span),
     PermsAt(Span),
+    Join(u8, Span),
+    /// Leave group `g` by its `i`-th member range, or by the span when
+    /// the group is empty.
+    Leave(u8, u8, Span),
+    Flip(u8, u8, u8),
 }
 
 /// A range placed relative to the heap: starting `page - 2` pages from
@@ -238,6 +309,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (arb_span(), any::<u8>()).prop_map(|(s, p)| Op::PermsMatch(s, p)),
         arb_span().prop_map(Op::WriteEpoch),
         arb_span().prop_map(Op::PermsAt),
+        (0u8..3, arb_span()).prop_map(|(g, s)| Op::Join(g, s)),
+        (0u8..3, arb_span()).prop_map(|(g, s)| Op::Join(g, s)),
+        (0u8..3, any::<u8>(), arb_span()).prop_map(|(g, i, s)| Op::Leave(g, i, s)),
+        (0u8..3, 0u8..3, any::<u8>()).prop_map(|(f, t, p)| Op::Flip(f, t, p)),
+        (0u8..3, 0u8..3, any::<u8>()).prop_map(|(f, t, p)| Op::Flip(f, t, p)),
     ]
 }
 
@@ -255,7 +331,7 @@ proptest! {
             match op {
                 Op::Alloc(len, p) => {
                     let len = u64::from(len);
-                    prop_assert_eq!(asp.alloc(len, perms_of(p)), model.alloc(len, perms_of(p)));
+                    prop_assert_eq!(asp.alloc(len, perms_of(p)), Ok(model.alloc(len, perms_of(p))));
                 }
                 Op::Unmap(s) => {
                     asp.unmap(Addr(s.addr()), s.len);
@@ -290,6 +366,31 @@ proptest! {
                     );
                     prop_assert_eq!(asp.is_mapped(Addr(s.addr()), s.len), model.whole(s.addr(), s.len));
                 }
+                Op::Join(g, s) => prop_assert_eq!(
+                    asp.join(GroupKey(u64::from(g)), Addr(s.addr()), s.len),
+                    model.join(u64::from(g), s.addr(), s.len)
+                ),
+                Op::Leave(g, i, s) => {
+                    let members = model.groups.get(&u64::from(g)).cloned().unwrap_or_default();
+                    let (addr, len) = match members.get(usize::from(i) % members.len().max(1)) {
+                        Some(&(first, last)) => (first, last - first + 1),
+                        None => (s.addr(), s.len),
+                    };
+                    asp.leave(GroupKey(u64::from(g)), Addr(addr), len);
+                    model.leave(u64::from(g), addr, len);
+                }
+                Op::Flip(from, to, p) => prop_assert_eq!(
+                    asp.flip(GroupKey(u64::from(from)), GroupKey(u64::from(to)), perms_of(p)),
+                    model.flip(u64::from(from), u64::from(to), perms_of(p))
+                ),
+            }
+            for g in 0..3 {
+                let members: Vec<(Addr, u64)> = model.groups.get(&g).map_or_else(Vec::new, |m| {
+                    m.iter()
+                        .map(|&(first, last)| (Addr(first), (last - first) / PAGE_SIZE + 1))
+                        .collect()
+                });
+                prop_assert_eq!(asp.group(GroupKey(g)), members);
             }
             prop_assert_eq!(asp.fingerprint(), model.fp);
             prop_assert_eq!(asp.page_count(), model.pages.len());
@@ -334,4 +435,47 @@ fn munmap_with_huge_lengths_neither_panics_nor_stalls() {
     assert_eq!(wrapped, (Err(SimError::Errno(Errno::Einval)), 3, true));
     let huge = munmap_mid_page(1 << 50).expect("munmap of 2^50 bytes stalled");
     assert_eq!(huge, (Ok(SyscallRet::Ok), 1, true));
+}
+
+/// An agent's `brk` of 64 GiB fails with `ENOMEM` and leaves the agent
+/// running. Run in a child process under a 1 GiB address-space limit by
+/// [`huge_brk_is_enomem_not_a_host_abort`]; ignored in a plain run.
+#[test]
+#[ignore = "run in a child process by huge_brk_is_enomem_not_a_host_abort"]
+fn huge_brk_in_a_small_address_space() {
+    let mut k = Kernel::new();
+    let pid = k.spawn("agent");
+    let ret = k.syscall(pid, Syscall::Brk { grow: 1 << 36 });
+    assert_eq!(ret, Err(SimError::Errno(Errno::Enomem)));
+    assert!(k.is_running(pid));
+    let ret = k.syscall(
+        pid,
+        Syscall::Mmap {
+            len: 1 << 36,
+            perms: Perms::RW,
+        },
+    );
+    assert_eq!(ret, Err(SimError::Errno(Errno::Enomem)));
+}
+
+/// The host survives an agent asking for more memory than the machine
+/// has: the request is refused, not met with an allocation abort. The
+/// check re-runs this test binary under `ulimit -v`, so an abort kills
+/// only the child and fails this test instead of the whole run.
+#[test]
+fn huge_brk_is_enomem_not_a_host_abort() {
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -v 1048576 && exec "$0" --exact huge_brk_in_a_small_address_space --ignored --test-threads=1"#)
+        .arg(exe)
+        .output()
+        .expect("spawn sh");
+    assert!(
+        out.status.success(),
+        "the huge brk did not return ENOMEM cleanly ({}):\n{}{}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

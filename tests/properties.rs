@@ -31,7 +31,7 @@ proptest! {
     fn mem_write_read_roundtrip(data in proptest::collection::vec(any::<u8>(), 1..8192),
                                 offset in 0u64..4096) {
         let mut asp = AddressSpace::new();
-        let base = asp.alloc(offset + data.len() as u64 + PAGE_SIZE, Perms::RW);
+        let base = asp.alloc(offset + data.len() as u64 + PAGE_SIZE, Perms::RW).unwrap();
         let addr = base.offset(offset);
         asp.write(addr, &data).unwrap();
         prop_assert_eq!(asp.read(addr, data.len() as u64).unwrap(), data);
@@ -40,7 +40,7 @@ proptest! {
     #[test]
     fn mem_protection_is_enforced_exactly(perms in arb_perms(), len in 1u64..3 * PAGE_SIZE) {
         let mut asp = AddressSpace::new();
-        let a = asp.alloc(len, Perms::RW);
+        let a = asp.alloc(len, Perms::RW).unwrap();
         asp.write(a, &[1]).unwrap();
         asp.protect(a, len, perms).unwrap();
         prop_assert_eq!(asp.read(a, 1).is_ok(), perms.readable());
@@ -53,7 +53,7 @@ proptest! {
         let mut asp = AddressSpace::new();
         let mut ranges: Vec<(u64, u64)> = Vec::new();
         for len in sizes {
-            let a = asp.alloc(len, Perms::RW);
+            let a = asp.alloc(len, Perms::RW).unwrap();
             for (s, e) in &ranges {
                 prop_assert!(a.0 >= *e || a.0 + len <= *s, "overlap");
             }
