@@ -11,7 +11,6 @@ use freepart_frameworks::exec::{execute, FrameworkError, CAMERA_FRAME_LEN};
 use freepart_frameworks::image::Image;
 use freepart_frameworks::tensor::Tensor;
 use freepart_frameworks::{fileio, ApiCtx, ApiRegistry, ObjectKind, ObjectStore, Trace, Value};
-use freepart_simos::device::Camera;
 use freepart_simos::{Kernel, Pid};
 
 /// Why an API could not be driven.
@@ -108,37 +107,35 @@ pub fn canonical_args(
     match spec.kind {
         K::ImRead => {
             let img = Image::new(16, 16, 3);
-            kernel.fs.put(&img_path, fileio::encode_image(&img, None));
+            kernel.fs_put(&img_path, fileio::encode_image(&img, None));
             vec![Value::Str(img_path)]
         }
         K::ClassifierLoad => {
-            kernel.fs.put(&img_path, vec![3u8; 96]);
+            kernel.fs_put(&img_path, vec![3u8; 96]);
             vec![Value::Str(img_path)]
         }
         K::TensorLoad => {
             let t = Tensor::generate(&[32], |i| i as f32);
-            kernel.fs.put(&tsr_path, fileio::encode_tensor(&t, None));
+            kernel.fs_put(&tsr_path, fileio::encode_tensor(&t, None));
             vec![Value::Str(tsr_path)]
         }
         K::ReadCsv => {
-            kernel
-                .fs
-                .put(&out_path, fileio::encode_csv(&[vec![1.0], vec![2.0]]));
+            kernel.fs_put(&out_path, fileio::encode_csv(&[vec![1.0], vec![2.0]]));
             vec![Value::Str(out_path)]
         }
         K::JsonLoad => {
-            kernel.fs.put(&out_path, b"{\"k\": 1}".to_vec());
+            kernel.fs_put(&out_path, b"{\"k\": 1}".to_vec());
             vec![Value::Str(out_path)]
         }
         K::VideoCaptureNew => {
             if kernel.camera.is_none() {
-                kernel.camera = Some(Camera::new(11, CAMERA_FRAME_LEN));
+                kernel.attach_camera(11, CAMERA_FRAME_LEN);
             }
             vec![Value::I64(0)]
         }
         K::VideoCaptureRead => {
             if kernel.camera.is_none() {
-                kernel.camera = Some(Camera::new(11, CAMERA_FRAME_LEN));
+                kernel.attach_camera(11, CAMERA_FRAME_LEN);
             }
             let id =
                 objects.create_handle(pid, ObjectKind::Capture { frames_read: 0 }, "drive:cap");
@@ -153,7 +150,7 @@ pub fn canonical_args(
             vec![Value::Str(format!("drive-win-{salt}")), mat]
         }
         K::DetectMultiScale => {
-            kernel.fs.put(&img_path, vec![2u8; 32]);
+            kernel.fs_put(&img_path, vec![2u8; 32]);
             let clf = objects
                 .create_with_data(
                     kernel,
@@ -226,9 +223,7 @@ pub fn canonical_args(
             let dir = format!("/drive/ds-{}-{salt}/", spec.id);
             for i in 0..2 {
                 let img = Image::new(4, 4, 3);
-                kernel
-                    .fs
-                    .put(&format!("{dir}{i}.simg"), fileio::encode_image(&img, None));
+                kernel.fs_put(&format!("{dir}{i}.simg"), fileio::encode_image(&img, None));
             }
             vec![Value::Str(dir)]
         }

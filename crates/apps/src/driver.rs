@@ -17,7 +17,6 @@ use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::image::Image;
 use freepart_frameworks::tensor::Tensor;
 use freepart_frameworks::{fileio, ObjectKind, Value};
-use freepart_simos::device::Camera;
 
 /// Driver knobs.
 #[derive(Debug, Clone)]
@@ -129,7 +128,9 @@ pub fn run_app(
                 )
             });
     if needs_camera && surface.kernel().camera.is_none() {
-        surface.kernel_mut().camera = Some(Camera::new(app.spec.id as u64, CAMERA_FRAME_LEN));
+        surface
+            .kernel_mut()
+            .attach_camera(app.spec.id as u64, CAMERA_FRAME_LEN);
     }
     let critical = surface.host_data(
         &format!("critical:{}", app.spec.name),
@@ -269,13 +270,12 @@ fn one_call(
             let img = seeded_image(opts.image_side, seeds.counter);
             surface
                 .kernel_mut()
-                .fs
-                .put(&path, fileio::encode_image(&img, None));
+                .fs_put(&path, fileio::encode_image(&img, None));
             surface.call(&name, &[Value::Str(path)])?
         }
         K::ClassifierLoad => {
             let path = seeds.next_path("cascade");
-            surface.kernel_mut().fs.put(&path, vec![7u8; 128]);
+            surface.kernel_mut().fs_put(&path, vec![7u8; 128]);
             surface.call(&name, &[Value::Str(path)])?
         }
         K::TensorLoad => {
@@ -283,21 +283,19 @@ fn one_call(
             let t = Tensor::generate(&[opts.tensor_len], |i| i as f32 * 0.01);
             surface
                 .kernel_mut()
-                .fs
-                .put(&path, fileio::encode_tensor(&t, None));
+                .fs_put(&path, fileio::encode_tensor(&t, None));
             surface.call(&name, &[Value::Str(path)])?
         }
         K::ReadCsv => {
             let path = seeds.next_path("table");
             surface
                 .kernel_mut()
-                .fs
-                .put(&path, fileio::encode_csv(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
+                .fs_put(&path, fileio::encode_csv(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
             surface.call(&name, &[Value::Str(path)])?
         }
         K::JsonLoad => {
             let path = seeds.next_path("json");
-            surface.kernel_mut().fs.put(&path, b"{\"cfg\": 1}".to_vec());
+            surface.kernel_mut().fs_put(&path, b"{\"cfg\": 1}".to_vec());
             surface.call(&name, &[Value::Str(path)])?
         }
         K::DatasetLoad => {
@@ -307,8 +305,7 @@ fn one_call(
                 let img = seeded_image(8, i);
                 surface
                     .kernel_mut()
-                    .fs
-                    .put(&format!("{dir}{i}.simg"), fileio::encode_image(&img, None));
+                    .fs_put(&format!("{dir}{i}.simg"), fileio::encode_image(&img, None));
             }
             surface.call(&name, &[Value::Str(dir)])?
         }

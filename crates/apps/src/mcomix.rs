@@ -47,8 +47,7 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &ViewerConfig) -> ViewerResult {
         let img = Image::new(24, 24, 3);
         surface
             .kernel_mut()
-            .fs
-            .put(file, fileio::encode_image(&img, payload));
+            .fs_put(file, fileio::encode_image(&img, payload));
         let Ok(loaded) = surface.call("PIL.Image.open", &[Value::Str(file.clone())]) else {
             continue;
         };

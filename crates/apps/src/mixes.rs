@@ -122,8 +122,7 @@ fn chatty_round(
 ) -> bool {
     let path = format!("/mix/chat-{round}.simg");
     rt.kernel_mut()
-        .fs
-        .put(&path, fileio::encode_image(&frame(round, 8), None));
+        .fs_put(&path, fileio::encode_image(&frame(round, 8), None));
     let Some(loaded) = submit_or_record(rt, errors, "cv2.imread", &[Value::Str(path)]) else {
         return false;
     };
@@ -183,8 +182,7 @@ fn bulk_round(
 ) -> bool {
     let path = format!("/mix/bulk-{round}.simg");
     rt.kernel_mut()
-        .fs
-        .put(&path, fileio::encode_image(&frame(round, side), None));
+        .fs_put(&path, fileio::encode_image(&frame(round, side), None));
     let Some(img) = submit_or_record(rt, errors, "cv2.imread", &[Value::Str(path)]) else {
         return false;
     };

@@ -52,7 +52,7 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &StegoConfig) -> StegoResult {
 
     // The (possibly trojaned) model arrives as a file.
     let weights = Tensor::generate(&[64], |i| (i as f32 * 0.05).tanh());
-    surface.kernel_mut().fs.put(
+    surface.kernel_mut().fs_put(
         "/models/classifier.stsr",
         fileio::encode_tensor(&weights, cfg.trojan.as_ref()),
     );
@@ -66,8 +66,7 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &StegoConfig) -> StegoResult {
                 let img = freepart_frameworks::image::Image::new(16, 16, 1);
                 surface
                     .kernel_mut()
-                    .fs
-                    .put(&path, fileio::encode_image(&img, None));
+                    .fs_put(&path, fileio::encode_image(&img, None));
                 let loaded = surface.call("cv2.imread", &[Value::Str(path)])?;
                 let gray = surface.call("cv2.cvtColor", &[loaded])?;
                 // Mat → tensor hand-off happens host-side in the real
@@ -132,7 +131,7 @@ mod tests {
         let mut rt = Runtime::install(standard_registry(), Policy::freepart());
         // Warm the loading agent so its filter is sealed before the
         // trojaned model arrives.
-        rt.kernel.fs.put(
+        rt.kernel.fs_put(
             "/models/warm.stsr",
             fileio::encode_tensor(&Tensor::generate(&[4], |_| 0.0), None),
         );

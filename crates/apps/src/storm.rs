@@ -71,13 +71,13 @@ pub struct StormRun {
 pub fn run_crash_storm(cfg: &StormConfig) -> StormRun {
     let mut rt = Runtime::install(standard_registry(), cfg.policy.clone());
     rt.enable_tracing();
-    rt.kernel.camera = Some(Camera::new(77, freepart_frameworks::exec::CAMERA_FRAME_LEN));
+    rt.kernel
+        .attach_camera(77, freepart_frameworks::exec::CAMERA_FRAME_LEN);
     let ok_img = Image::new(16, 16, 3);
     rt.kernel
-        .fs
-        .put("/storm/ok.simg", fileio::encode_image(&ok_img, None));
+        .fs_put("/storm/ok.simg", fileio::encode_image(&ok_img, None));
     let payload = payloads::dos(STORM_CVE);
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/storm/evil.simg",
         fileio::encode_image(&Image::new(16, 16, 3), Some(&payload)),
     );
@@ -196,14 +196,14 @@ fn judge_with(storm: &StormRun, baseline: &StormRun) -> StormVerdicts {
     // `judge_storm` reads the camera from a kernel; reconstruct an
     // equivalent one from the recorded ground truth so judgment stays in
     // the attacks crate.
-    let mut k = freepart_simos::Kernel::new();
     let mut cam = Camera::new(0, 1);
     for _ in 0..storm.frames_served {
         let _ = cam.capture();
     }
-    k.camera = Some(cam);
+    let mut state = freepart_simos::KernelState::new();
+    state.camera = Some(cam);
     judge_storm(
-        &k,
+        &freepart_simos::Kernel::from_state(state),
         storm.successful_reads,
         storm.healthy_p99_ns,
         baseline.healthy_p99_ns,

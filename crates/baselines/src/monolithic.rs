@@ -179,7 +179,7 @@ mod tests {
 
     fn seed(rt: &mut MonolithicRuntime, path: &str, payload: Option<&ExploitPayload>) {
         let img = Image::new(8, 8, 3);
-        rt.kernel.fs.put(path, fileio::encode_image(&img, payload));
+        rt.kernel.fs_put(path, fileio::encode_image(&img, payload));
     }
 
     #[test]

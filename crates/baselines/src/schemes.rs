@@ -245,8 +245,7 @@ mod tests {
         let img = Image::new(16, 16, 3);
         surface
             .kernel_mut()
-            .fs
-            .put(path, fileio::encode_image(&img, payload));
+            .fs_put(path, fileio::encode_image(&img, payload));
     }
 
     #[test]

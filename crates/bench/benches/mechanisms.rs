@@ -45,7 +45,7 @@ fn bench_hook_overhead(c: &mut Criterion) {
         let pid = kernel.spawn("app");
         let mut objects = ObjectStore::new();
         let img = Image::new(16, 16, 3);
-        kernel.fs.put("/b.simg", fileio::encode_image(&img, None));
+        kernel.fs_put("/b.simg", fileio::encode_image(&img, None));
         let imread = reg.id_of("cv2.imread").unwrap();
         b.iter(|| {
             let mut ctx = freepart_frameworks::ApiCtx::new(&mut kernel, &mut objects, pid);
@@ -60,8 +60,7 @@ fn bench_hook_overhead(c: &mut Criterion) {
         let mut rt = Runtime::install(standard_registry(), Policy::freepart());
         let img = Image::new(16, 16, 3);
         rt.kernel
-            .fs
-            .put("/b.simg", fileio::encode_image(&img, None));
+            .fs_put("/b.simg", fileio::encode_image(&img, None));
         b.iter(|| {
             std::hint::black_box(rt.call("cv2.imread", &[Value::from("/b.simg")]).unwrap());
         });

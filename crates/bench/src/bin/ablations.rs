@@ -29,7 +29,7 @@ fn time_of(policy: Policy) -> u64 {
 fn neutral_moves(policy: Policy) -> u64 {
     use freepart_frameworks::{fileio, image::Image, Value};
     let mut rt = Runtime::install(standard_registry(), policy);
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/n.simg",
         fileio::encode_image(&Image::new(16, 16, 3), None),
     );
@@ -56,9 +56,8 @@ fn m2_temporal_prevented(policy: Policy) -> bool {
         let mut rt = Runtime::install(standard_registry(), policy);
         let img = Image::new(32, 32, 3);
         rt.kernel
-            .fs
-            .put("/m2.simg", fileio::encode_image(&img, payload.as_ref()));
-        rt.kernel.fs.put("/c.xml", vec![1; 8]);
+            .fs_put("/m2.simg", fileio::encode_image(&img, payload.as_ref()));
+        rt.kernel.fs_put("/c.xml", vec![1; 8]);
         let loaded = rt.call("cv2.imread", &[Value::from("/m2.simg")]).unwrap();
         let gray = rt.call("cv2.cvtColor", &[loaded]).unwrap();
         let gray_id = gray.as_obj().unwrap();

@@ -116,7 +116,7 @@ fn main() {
     let orig_bomb = orig.exploit_log().last().unwrap().outcome.achieved();
     // Warm FreePart's loading agent so its filter is sealed.
     let mut fp = Runtime::install(standard_registry(), Policy::freepart());
-    fp.kernel.fs.put(
+    fp.kernel.fs_put(
         "/models/warm.stsr",
         freepart_frameworks::fileio::encode_tensor(
             &freepart_frameworks::tensor::Tensor::generate(&[4], |_| 0.0),

@@ -25,7 +25,7 @@ use freepart_bench::{workspace_root, Table};
 use freepart_frameworks::registry::standard_registry;
 use freepart_simos::core::step_ref;
 use freepart_simos::replay::{audit, replay};
-use freepart_simos::{CommitLog, Effects, FaultKind, KernelState};
+use freepart_simos::{CommitLog, CommitOp, Effects, FaultKind, KernelState};
 
 /// One recorded-and-replayed attack scenario.
 struct Scenario {
@@ -49,24 +49,113 @@ struct Scenario {
     verdict_replay: bool,
 }
 
-/// Raw pure-`step` throughput: folds the recorded log through a fresh
-/// [`KernelState`] `iters` times, borrowing each op as replay does, and
-/// reports (total steps, steps/sec).
-fn step_throughput(log: &CommitLog, iters: u32) -> (u64, f64) {
-    let mut fx = Effects::new();
-    let mut total: u64 = 0;
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        let mut state = KernelState::with_cost_model(log.genesis().clone());
-        for rec in log.records() {
-            fx.clear();
-            let _ = step_ref(&mut state, &rec.op, &mut fx);
-            total += 1;
+/// Timed passes per throughput figure; each figure is their median.
+const PASSES: usize = 7;
+/// Folds of the log per timed pass.
+const FOLDS_PER_PASS: u32 = 40;
+
+/// A rate measured over [`PASSES`] passes: the median and the spread.
+#[derive(Clone, Copy)]
+struct Rate {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Rate {
+    /// Times `PASSES` passes of `FOLDS_PER_PASS` calls to `fold`, each
+    /// handling `units` units of work, and reports units per second.
+    fn measure(units: u64, mut fold: impl FnMut()) -> Rate {
+        let mut rates: Vec<f64> = (0..PASSES)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                for _ in 0..FOLDS_PER_PASS {
+                    fold();
+                }
+                let secs = start.elapsed().as_secs_f64().max(1e-9);
+                (units * u64::from(FOLDS_PER_PASS)) as f64 / secs
+            })
+            .collect();
+        rates.sort_by(f64::total_cmp);
+        Rate {
+            median: rates[PASSES / 2],
+            min: rates[0],
+            max: rates[PASSES - 1],
         }
-        std::hint::black_box(state.digest());
     }
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    (total, total as f64 / secs)
+
+    /// The same passes' rate for a different unit count per fold.
+    fn scaled(self, factor: f64) -> Rate {
+        Rate {
+            median: self.median * factor,
+            min: self.min * factor,
+            max: self.max * factor,
+        }
+    }
+
+    fn json(&self, key: &str) -> String {
+        format!(
+            "\"{key}\": {:.1}, \"{key}_min\": {:.1}, \"{key}_max\": {:.1}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
+/// Throughput of one recorded log, both ways it is folded.
+struct Throughput {
+    log: &'static str,
+    /// Records in the log.
+    steps: u64,
+    /// Pages the log's successful protect records changed.
+    protect_pages: u64,
+    /// The pure `step` fold alone, one digest per fold.
+    step: Rate,
+    /// Full [`replay`]: a step, a digest and both comparisons per
+    /// record — what every replay-based tool pays per step.
+    replay: Rate,
+}
+
+impl Throughput {
+    fn measure(log_name: &'static str, log: &CommitLog) -> Throughput {
+        let steps = log.len();
+        let protect_pages = log
+            .records()
+            .iter()
+            .filter(|r| r.outcome.is_ok())
+            .filter(|r| {
+                matches!(
+                    r.op,
+                    CommitOp::Protect { .. } | CommitOp::ShmProtectAll { .. }
+                )
+            })
+            .map(|r| r.outcome.raw())
+            .sum();
+        let mut fx = Effects::new();
+        let step = Rate::measure(steps, || {
+            let mut state = KernelState::with_cost_model(log.genesis().clone());
+            for rec in log.records() {
+                fx.clear();
+                let _ = step_ref(&mut state, &rec.op, &mut fx);
+            }
+            std::hint::black_box(state.digest());
+        });
+        let replay = Rate::measure(steps, || {
+            std::hint::black_box(replay(log));
+        });
+        Throughput {
+            log: log_name,
+            steps,
+            protect_pages,
+            step,
+            replay,
+        }
+    }
+
+    /// Protect pages changed per second of full replay.
+    fn pages(&self) -> Rate {
+        self.replay
+            .scaled(self.protect_pages as f64 / self.steps.max(1) as f64)
+    }
 }
 
 /// Records one drone mission, replays it, audits it, and reports the
@@ -138,7 +227,7 @@ fn record_and_replay(
     (scenario, log)
 }
 
-fn to_json(rows: &[Scenario], throughput: &[(&str, u64, f64)]) -> String {
+fn to_json(rows: &[Scenario], throughput: &[Throughput]) -> String {
     let mut out = String::from("{\n  \"scenarios\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -160,19 +249,29 @@ fn to_json(rows: &[Scenario], throughput: &[(&str, u64, f64)]) -> String {
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    let min = throughput
-        .iter()
-        .map(|&(_, _, sps)| sps)
-        .fold(f64::INFINITY, f64::min);
-    out.push_str("  ],\n  \"step_throughput\": {\"logs\": [\n");
-    for (i, (log_name, steps, steps_per_sec)) in throughput.iter().enumerate() {
+    let min =
+        |rate: fn(&Throughput) -> f64| throughput.iter().map(rate).fold(f64::INFINITY, f64::min);
+    out.push_str(&format!(
+        "  ],\n  \"step_throughput\": {{\"passes\": {PASSES}, \
+         \"folds_per_pass\": {FOLDS_PER_PASS}, \"logs\": [\n"
+    ));
+    for (i, t) in throughput.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"log\": \"{log_name}\", \"steps\": {steps}, \
-             \"steps_per_sec\": {steps_per_sec:.1}}}{}\n",
+            "    {{\"log\": \"{}\", \"steps\": {}, \"protect_pages\": {}, {}, {}, {}}}{}\n",
+            t.log,
+            t.steps,
+            t.protect_pages,
+            t.step.json("steps_per_sec"),
+            t.replay.json("replay_steps_per_sec"),
+            t.pages().json("pages_per_sec"),
             if i + 1 < throughput.len() { "," } else { "" }
         ));
     }
-    out.push_str(&format!("  ], \"min_steps_per_sec\": {min:.1}}}\n}}\n"));
+    out.push_str(&format!(
+        "  ], \"min_steps_per_sec\": {:.1}, \"min_replay_steps_per_sec\": {:.1}}}\n}}\n",
+        min(|t| t.step.median),
+        min(|t| t.replay.median)
+    ));
     out
 }
 
@@ -253,19 +352,26 @@ fn main() {
         assert!(r.forensic_chain_len >= 2, "{}: thin chain", r.name);
     }
 
-    // Raw pure-step throughput over BOTH recorded logs: replay cost
-    // with no shell, no commit log, no divergence checks — just the
-    // fold every replay-based tool pays per step. Folding only one log
-    // would let a regression on the other scenario's op mix slip by,
-    // so the JSON carries each log's rate plus the min across logs.
+    // Throughput over BOTH recorded logs, two ways: the pure step fold
+    // (no shell, no commit log, no per-step digest) and full replay (a
+    // digest and both comparisons per step). Folding only one log would
+    // let a regression on the other scenario's op mix slip by, so the
+    // JSON carries each log's rates plus the min across logs. One
+    // protect record can carry hundreds of pages, so pages per second
+    // rides along with steps per second.
     let mut throughput = Vec::new();
     for (log_name, log) in [("drone_dos", &dos_log), ("drone_corruption", &corrupt_log)] {
-        let (steps, steps_per_sec) = step_throughput(log, 200);
+        let t = Throughput::measure(log_name, log);
         println!(
-            "\npure-step throughput: {steps} steps over 200 replays of \
-             {log_name} ({steps_per_sec:.0} steps/sec)"
+            "\n{log_name}: {} steps, {} protect pages; median of {PASSES} passes: \
+             {:.0} pure steps/sec, {:.0} replay steps/sec, {:.0} pages/sec",
+            t.steps,
+            t.protect_pages,
+            t.step.median,
+            t.replay.median,
+            t.pages().median
         );
-        throughput.push((log_name, steps, steps_per_sec));
+        throughput.push(t);
     }
 
     let json = to_json(&rows, &throughput);

@@ -26,7 +26,7 @@ use freepart_apps::storm::{judge_crash_storm, StormConfig};
 use freepart_bench::{fast_install, workspace_root, Table};
 use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::{fileio, image::Image, Value};
-use freepart_simos::{Camera, FaultKind};
+use freepart_simos::FaultKind;
 
 /// Measured cost of one `restart_agent` on the loading partition.
 fn restart_cost_ns(rt: &mut Runtime) -> u64 {
@@ -42,7 +42,7 @@ fn restart_cost_ns(rt: &mut Runtime) -> u64 {
 /// the restart path includes the reseal) and measures a restart.
 fn measure_restart(policy: Policy) -> u64 {
     let mut rt = fast_install(policy);
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/in.simg",
         fileio::encode_image(&Image::new(16, 16, 3), None),
     );
@@ -61,8 +61,8 @@ fn drone_detector_snapshots(incremental: bool, frames: u32) -> (u64, u64, u32) {
         incremental_snapshots: incremental,
         ..Policy::freepart()
     });
-    rt.kernel.camera = Some(Camera::new(42, CAMERA_FRAME_LEN));
-    rt.kernel.fs.put("/cascade.xml", vec![3u8; 64 * 1024]);
+    rt.kernel.attach_camera(42, CAMERA_FRAME_LEN);
+    rt.kernel.fs_put("/cascade.xml", vec![3u8; 64 * 1024]);
     let clf = rt
         .call("cv2.CascadeClassifier.load", &[Value::from("/cascade.xml")])
         .expect("model loads");

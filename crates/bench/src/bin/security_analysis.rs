@@ -42,7 +42,7 @@ fn main() {
     let secret = rt.host_data("user-profiles", b"SECRET-PROFILE-DATA");
     let s_addr = rt.objects.meta(secret).unwrap().buffer.unwrap().0;
     let img = Image::new(16, 16, 3);
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/exfil.simg",
         fileio::encode_image(
             &img,
@@ -74,7 +74,7 @@ fn main() {
     let mut rt = Runtime::install(standard_registry(), Policy::freepart());
     let cfg = rt.host_data("model-config", b"threshold=0.75;classes=10");
     let c_addr = rt.objects.meta(cfg).unwrap().buffer.unwrap().0;
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/corrupt.simg",
         fileio::encode_image(
             &img,

@@ -484,8 +484,7 @@ pub fn cve_sweep() -> Vec<CveVerdict> {
             ApiKind::ImRead | ApiKind::ImShow => {
                 let img = Image::new(16, 16, 3);
                 rt.kernel
-                    .fs
-                    .put("/atk.simg", fileio::encode_image(&img, Some(&payload)));
+                    .fs_put("/atk.simg", fileio::encode_image(&img, Some(&payload)));
                 let loaded = rt.call("cv2.imread", &[Value::from("/atk.simg")]);
                 match (cve.api, loaded) {
                     // imread itself is the target: it crashed.
@@ -498,10 +497,9 @@ pub fn cve_sweep() -> Vec<CveVerdict> {
             ApiKind::DetectMultiScale => {
                 let img = Image::new(32, 32, 3);
                 rt.kernel
-                    .fs
-                    .put("/atk.simg", fileio::encode_image(&img, Some(&payload)));
+                    .fs_put("/atk.simg", fileio::encode_image(&img, Some(&payload)));
                 let tainted = rt.call("cv2.imread", &[Value::from("/atk.simg")]).unwrap();
-                rt.kernel.fs.put("/c.xml", vec![1; 8]);
+                rt.kernel.fs_put("/c.xml", vec![1; 8]);
                 let clf = rt
                     .call("cv2.CascadeClassifier.load", &[Value::from("/c.xml")])
                     .unwrap();
@@ -510,8 +508,7 @@ pub fn cve_sweep() -> Vec<CveVerdict> {
             ApiKind::Binary(_) => {
                 let img = Image::new(16, 16, 3);
                 rt.kernel
-                    .fs
-                    .put("/atk.simg", fileio::encode_image(&img, Some(&payload)));
+                    .fs_put("/atk.simg", fileio::encode_image(&img, Some(&payload)));
                 let a = rt.call("cv2.imread", &[Value::from("/atk.simg")]).unwrap();
                 let b = rt.call("cv2.imread", &[Value::from("/atk.simg")]).unwrap();
                 rt.call(cve.api, &[a, b]).is_err()
@@ -522,8 +519,7 @@ pub fn cve_sweep() -> Vec<CveVerdict> {
             | ApiKind::TensorUnary(_) => {
                 let t = Tensor::generate(&[36], |i| i as f32);
                 rt.kernel
-                    .fs
-                    .put("/atk.stsr", fileio::encode_tensor(&t, Some(&payload)));
+                    .fs_put("/atk.stsr", fileio::encode_tensor(&t, Some(&payload)));
                 let tainted = rt.call("torch.load", &[Value::from("/atk.stsr")]).unwrap();
                 rt.call(cve.api, &[tainted]).is_err()
             }
@@ -531,8 +527,7 @@ pub fn cve_sweep() -> Vec<CveVerdict> {
                 // Generic file loaders (PIL.Image.open etc.).
                 let img = Image::new(16, 16, 3);
                 rt.kernel
-                    .fs
-                    .put("/atk.simg", fileio::encode_image(&img, Some(&payload)));
+                    .fs_put("/atk.simg", fileio::encode_image(&img, Some(&payload)));
                 rt.call(cve.api, &[Value::from("/atk.simg")]).is_err()
             }
         };

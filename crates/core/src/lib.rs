@@ -18,7 +18,7 @@
 //!
 //! // Seed an input and run a hooked pipeline: each call executes in an
 //! // isolated agent process.
-//! rt.kernel.fs.put("/in.simg", fileio::encode_image(&Image::new(8, 8, 3), None));
+//! rt.kernel.fs_put("/in.simg", fileio::encode_image(&Image::new(8, 8, 3), None));
 //! let img = rt.call("cv2.imread", &[Value::from("/in.simg")]).unwrap();
 //! let gray = rt.call("cv2.cvtColor", &[img]).unwrap();
 //! let edges = rt.call("cv2.Canny", &[gray]).unwrap();

@@ -75,9 +75,10 @@ impl Runtime {
             let delivered = self
                 .kernel
                 .ipc_recv(agent_pid, chan)
-                .map_err(|_| CallError::AgentUnavailable(partition))?
-                .expect("request just sent");
-            Request::decode(&delivered).expect("self-encoded frame")
+                .ok()
+                .flatten()
+                .ok_or(CallError::AgentUnavailable(partition))?;
+            Request::decode(&delivered).ok_or(CallError::AgentUnavailable(partition))?
         };
         self.trace_span(SpanPhase::Marshal, seq, span, thread, marshal_t0, frame_len);
 

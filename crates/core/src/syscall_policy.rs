@@ -176,7 +176,7 @@ mod tests {
             .into_iter()
             .collect();
         let mut kernel = Kernel::new();
-        kernel.camera = Some(freepart_simos::device::Camera::new(1, 16));
+        kernel.attach_camera(1, 16);
         let pid = kernel.spawn("agent");
         // First-execution phase: the agent opens the camera.
         let fd = kernel

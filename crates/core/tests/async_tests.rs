@@ -9,11 +9,10 @@ use freepart::{AuditRecord, CallHandle, Policy, Runtime, SpanPhase, ThreadId};
 use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::registry::standard_registry;
 use freepart_frameworks::{fileio, image::Image, Value};
-use freepart_simos::device::Camera;
 
 fn seed(rt: &mut Runtime, n: u32) {
     for i in 0..n {
-        rt.kernel.fs.put(
+        rt.kernel.fs_put(
             &format!("/in-{i}.simg"),
             fileio::encode_image(&Image::new(12, 12, 3), None),
         );
@@ -226,7 +225,7 @@ fn pipeline_window_bounds_in_flight_calls_and_the_journal() {
 #[test]
 fn journal_pruning_never_drops_an_unacked_seq() {
     let mut rt = Runtime::install(standard_registry(), Policy::freepart());
-    rt.kernel.camera = Some(Camera::new(11, CAMERA_FRAME_LEN));
+    rt.kernel.attach_camera(11, CAMERA_FRAME_LEN);
     let cap = rt.call("cv2.VideoCapture", &[Value::I64(0)]).unwrap();
     let read = rt.registry().id_of("cv2.VideoCapture.read").unwrap();
     let partition = rt.partition_of(read);

@@ -10,13 +10,11 @@ use freepart_frameworks::api::ApiType;
 use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::registry::standard_registry;
 use freepart_frameworks::{fileio, image::Image, ObjectKind, ObjectStore, Value};
-use freepart_simos::device::Camera;
 use freepart_simos::{FaultKind, Kernel, Perms, SimError, PAGE_SIZE};
 
 fn seed_image(rt: &mut Runtime, path: &str) {
     rt.kernel
-        .fs
-        .put(path, fileio::encode_image(&Image::new(12, 12, 3), None));
+        .fs_put(path, fileio::encode_image(&Image::new(12, 12, 3), None));
 }
 
 /// A small async filter chain that keeps batches open (promise peeks
@@ -44,7 +42,7 @@ fn crash_mid_batch_replays_each_seq_exactly_once() {
     // answered from the journal — observable on the camera, whose frame
     // counter only moves when `read` actually executes.
     let mut rt = Runtime::install(standard_registry(), Policy::freepart_batched());
-    rt.kernel.camera = Some(Camera::new(7, CAMERA_FRAME_LEN));
+    rt.kernel.attach_camera(7, CAMERA_FRAME_LEN);
     let cap = rt.call("cv2.VideoCapture", &[Value::I64(0)]).unwrap();
 
     let h1 = rt
@@ -319,7 +317,7 @@ fn post_restart_reprotection_is_full_not_differential() {
         },
     );
     seed_image(&mut rt, "/in.simg");
-    rt.kernel.fs.put("/c.xml", vec![5; 64]);
+    rt.kernel.fs_put("/c.xml", vec![5; 64]);
     let clf = rt
         .call("cv2.CascadeClassifier.load", &[Value::from("/c.xml")])
         .unwrap();

@@ -5,12 +5,11 @@ use freepart::{Policy, Runtime};
 use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::registry::standard_registry;
 use freepart_frameworks::{fileio, image::Image, Value};
-use freepart_simos::device::Camera;
 use freepart_simos::{FaultKind, SimError};
 
 fn seed_image(rt: &mut Runtime, path: &str) {
     let img = Image::new(16, 16, 3);
-    rt.kernel.fs.put(path, fileio::encode_image(&img, None));
+    rt.kernel.fs_put(path, fileio::encode_image(&img, None));
 }
 
 #[test]
@@ -20,7 +19,7 @@ fn crash_in_response_window_replays_instead_of_reexecuting() {
     // from the completion journal — observable on the camera, whose
     // frame counter only moves when `read` actually executes.
     let mut rt = Runtime::install(standard_registry(), Policy::freepart());
-    rt.kernel.camera = Some(Camera::new(7, CAMERA_FRAME_LEN));
+    rt.kernel.attach_camera(7, CAMERA_FRAME_LEN);
     let cap = rt.call("cv2.VideoCapture", &[Value::I64(0)]).unwrap();
     rt.call("cv2.VideoCapture.read", std::slice::from_ref(&cap))
         .unwrap();
@@ -48,7 +47,7 @@ fn completion_journal_survives_agent_restart() {
     // retry: the journal must live with the rebound channel, not the
     // dead process.
     let mut rt = Runtime::install(standard_registry(), Policy::freepart());
-    rt.kernel.camera = Some(Camera::new(9, CAMERA_FRAME_LEN));
+    rt.kernel.attach_camera(9, CAMERA_FRAME_LEN);
     let cap = rt.call("cv2.VideoCapture", &[Value::I64(0)]).unwrap();
     let read = rt.registry().id_of("cv2.VideoCapture.read").unwrap();
     let partition = rt.partition_of(read);
@@ -79,7 +78,7 @@ fn restart_reapplies_protection_to_restored_snapshots() {
         },
     );
     seed_image(&mut rt, "/in.simg");
-    rt.kernel.fs.put("/c.xml", vec![5; 64]);
+    rt.kernel.fs_put("/c.xml", vec![5; 64]);
     let clf = rt
         .call("cv2.CascadeClassifier.load", &[Value::from("/c.xml")])
         .unwrap();

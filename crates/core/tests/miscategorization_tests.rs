@@ -27,7 +27,7 @@ fn runtime_with_misblur() -> Runtime {
 
 fn seed(rt: &mut Runtime, path: &str) {
     let img = Image::new(16, 16, 3);
-    rt.kernel.fs.put(path, fileio::encode_image(&img, None));
+    rt.kernel.fs_put(path, fileio::encode_image(&img, None));
 }
 
 #[test]
@@ -90,10 +90,9 @@ fn exploit_blast_radius_follows_the_wrong_placement() {
     };
     let img = Image::new(32, 32, 3);
     rt.kernel
-        .fs
-        .put("/evil.simg", fileio::encode_image(&img, Some(&payload)));
+        .fs_put("/evil.simg", fileio::encode_image(&img, Some(&payload)));
     let tainted = rt.call("cv2.imread", &[Value::from("/evil.simg")]).unwrap();
-    rt.kernel.fs.put("/c.xml", vec![1; 8]);
+    rt.kernel.fs_put("/c.xml", vec![1; 8]);
     let clf = rt
         .call("cv2.CascadeClassifier.load", &[Value::from("/c.xml")])
         .unwrap();

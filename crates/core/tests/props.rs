@@ -21,7 +21,7 @@ fn run_monolithic(picks: &[u16], side: u32) -> Vec<u8> {
     let mut kernel = Kernel::new();
     let pid = kernel.spawn("mono");
     let mut objects = ObjectStore::new();
-    kernel.fs.put(
+    kernel.fs_put(
         "/in.simg",
         fileio::encode_image(&Image::new(side, side, 3), None),
     );
@@ -51,7 +51,7 @@ fn run_freepart_with(policy: Policy, picks: &[u16], side: u32) -> (Vec<u8>, Runt
         .map(|s| s.name.clone())
         .collect();
     let mut rt = Runtime::install(standard_registry(), policy);
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/in.simg",
         fileio::encode_image(&Image::new(side, side, 3), None),
     );
@@ -74,7 +74,7 @@ fn run_freepart_async(picks: &[u16], side: u32) -> (Vec<u8>, Runtime) {
         .map(|s| s.name.clone())
         .collect();
     let mut rt = Runtime::install(standard_registry(), Policy::freepart());
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/in.simg",
         fileio::encode_image(&Image::new(side, side, 3), None),
     );
@@ -114,7 +114,7 @@ fn run_freepart_batched(
         ..base
     };
     let mut rt = Runtime::install(standard_registry(), policy);
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/in.simg",
         fileio::encode_image(&Image::new(side, side, 3), None),
     );
@@ -147,7 +147,7 @@ fn run_freepart_adaptive(cfg: AdaptiveConfig, picks: &[u16], side: u32) -> (Vec<
         ..Policy::freepart()
     };
     let mut rt = Runtime::install(standard_registry(), policy);
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/in.simg",
         fileio::encode_image(&Image::new(side, side, 3), None),
     );
@@ -304,7 +304,7 @@ proptest! {
             .map(|s| s.name.clone())
             .collect();
         let mut rt2 = Runtime::install(standard_registry(), Policy::without_ldc());
-        rt2.kernel.fs.put(
+        rt2.kernel.fs_put(
             "/in.simg",
             fileio::encode_image(&Image::new(8, 8, 3), None),
         );
@@ -375,7 +375,7 @@ proptest! {
                 .map(|s| s.name.clone())
                 .collect();
             let mut rt = Runtime::install(standard_registry(), policy);
-            rt.kernel.fs.put(
+            rt.kernel.fs_put(
                 "/in.simg",
                 fileio::encode_image(&Image::new(side, side, 3), None),
             );

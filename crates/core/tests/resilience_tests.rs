@@ -9,12 +9,11 @@ use freepart::{
 use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::registry::standard_registry;
 use freepart_frameworks::{fileio, image::Image, ExploitAction, ExploitPayload, Value};
-use freepart_simos::device::Camera;
 use freepart_simos::FaultKind;
 
 fn seed_image(rt: &mut Runtime, path: &str) {
     let img = Image::new(16, 16, 3);
-    rt.kernel.fs.put(path, fileio::encode_image(&img, None));
+    rt.kernel.fs_put(path, fileio::encode_image(&img, None));
 }
 
 fn dos_payload(cve: &str) -> ExploitPayload {
@@ -29,7 +28,7 @@ fn restart_storm_survives_many_crashes() {
     let mut rt = Runtime::install(standard_registry(), Policy::freepart());
     seed_image(&mut rt, "/ok.simg");
     let img = Image::new(16, 16, 3);
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/evil.simg",
         fileio::encode_image(&img, Some(&dos_payload("CVE-2017-14136"))),
     );
@@ -71,7 +70,7 @@ fn snapshot_interval_zero_loses_stateful_objects_on_restart() {
             ..Policy::freepart()
         },
     );
-    rt.kernel.camera = Some(Camera::new(3, CAMERA_FRAME_LEN));
+    rt.kernel.attach_camera(3, CAMERA_FRAME_LEN);
     let cap = rt.call("cv2.VideoCapture", &[Value::I64(0)]).unwrap();
     rt.call("cv2.VideoCapture.read", std::slice::from_ref(&cap))
         .unwrap();
@@ -101,7 +100,7 @@ fn manual_sub_partitioning_pins_one_api_into_its_own_agent() {
         },
     );
     seed_image(&mut rt, "/in.simg");
-    rt.kernel.fs.put("/c.xml", vec![1; 8]);
+    rt.kernel.fs_put("/c.xml", vec![1; 8]);
     let clf = rt
         .call("cv2.CascadeClassifier.load", &[Value::from("/c.xml")])
         .unwrap();
@@ -123,7 +122,7 @@ fn manual_sub_partitioning_pins_one_api_into_its_own_agent() {
     // And a DoS through the pinned API leaves the main processing agent
     // untouched.
     let img2 = Image::new(32, 32, 3);
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/evil.simg",
         fileio::encode_image(&img2, Some(&dos_payload("CVE-2019-14491"))),
     );
@@ -239,7 +238,7 @@ fn stay_down_policy_reports_unavailable_consistently() {
         },
     );
     let img = Image::new(16, 16, 3);
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/evil.simg",
         fileio::encode_image(&img, Some(&dos_payload("CVE-2017-14136"))),
     );

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 fn seed_image(rt: &mut Runtime, path: &str) {
     let img = Image::new(16, 16, 3);
-    rt.kernel.fs.put(path, fileio::encode_image(&img, None));
+    rt.kernel.fs_put(path, fileio::encode_image(&img, None));
 }
 
 fn seed_evil(rt: &mut Runtime, path: &str) {
@@ -25,8 +25,7 @@ fn seed_evil(rt: &mut Runtime, path: &str) {
         actions: vec![ExploitAction::CrashSelf],
     };
     rt.kernel
-        .fs
-        .put(path, fileio::encode_image(&img, Some(&payload)));
+        .fs_put(path, fileio::encode_image(&img, Some(&payload)));
 }
 
 /// A tight budget that never refills within a test's virtual lifetime.
@@ -186,7 +185,7 @@ fn failed_restore_audits_quarantines_and_never_dangles() {
         },
     );
     rt.enable_tracing();
-    rt.kernel.camera = Some(Camera::new(5, CAMERA_FRAME_LEN));
+    rt.kernel.attach_camera(5, CAMERA_FRAME_LEN);
     let cap = rt.call("cv2.VideoCapture", &[Value::I64(0)]).unwrap();
     rt.call("cv2.VideoCapture.read", std::slice::from_ref(&cap))
         .unwrap();
@@ -237,7 +236,7 @@ fn seal_failure_panics_in_debug_builds() {
     let pid = rt.agent(loading).unwrap().pid;
     // An already-locked process configuration makes `install_filter`
     // return `Eperm` when the first completed call tries to seal.
-    rt.kernel.process_mut(pid).unwrap().no_new_privs = true;
+    rt.kernel.set_no_new_privs(pid).unwrap();
     let _ = rt.call("cv2.imread", &[Value::from("/ok.simg")]);
 }
 
@@ -249,7 +248,7 @@ fn seal_failure_degrades_and_audits_in_release_builds() {
     seed_image(&mut rt, "/ok.simg");
     let loading = rt.partition_of(rt.registry().id_of("cv2.imread").unwrap());
     let pid = rt.agent(loading).unwrap().pid;
-    rt.kernel.process_mut(pid).unwrap().no_new_privs = true;
+    rt.kernel.set_no_new_privs(pid).unwrap();
     // The call itself completed before sealing, so it succeeds...
     rt.call("cv2.imread", &[Value::from("/ok.simg")]).unwrap();
     // ...but the partition must not keep serving unsandboxed: it is
@@ -360,7 +359,7 @@ fn incremental_snapshots_skip_clean_objects_by_write_epoch() {
             },
         );
         seed_image(&mut rt, "/ok.simg");
-        rt.kernel.fs.put("/c.xml", vec![7; 256]);
+        rt.kernel.fs_put("/c.xml", vec![7; 256]);
         // A stateful classifier homed in the loading agent...
         rt.call("cv2.CascadeClassifier.load", &[Value::from("/c.xml")])
             .unwrap();
@@ -401,7 +400,7 @@ fn restored_objects_work_after_an_incremental_snapshot_cycle() {
             ..Policy::freepart()
         },
     );
-    rt.kernel.camera = Some(Camera::new(9, CAMERA_FRAME_LEN));
+    rt.kernel.attach_camera(9, CAMERA_FRAME_LEN);
     let cap = rt.call("cv2.VideoCapture", &[Value::I64(0)]).unwrap();
     rt.call("cv2.VideoCapture.read", std::slice::from_ref(&cap))
         .unwrap();
@@ -443,7 +442,7 @@ proptest! {
         };
         let mut rt = Runtime::install(standard_registry(), policy);
         rt.enable_tracing();
-        rt.kernel.camera = Some(Camera::new(11, CAMERA_FRAME_LEN));
+        rt.kernel.attach_camera(11, CAMERA_FRAME_LEN);
         seed_image(&mut rt, "/ok.simg");
         let cap = rt.call("cv2.VideoCapture", &[Value::I64(0)]).unwrap();
         let loading = rt.partition_of(rt.registry().id_of("cv2.VideoCapture.read").unwrap());

@@ -7,7 +7,6 @@ use freepart_frameworks::api::ApiType;
 use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::registry::standard_registry;
 use freepart_frameworks::{fileio, image::Image, ExploitAction, ExploitPayload, Value};
-use freepart_simos::device::Camera;
 
 fn rt_with(policy: Policy) -> Runtime {
     Runtime::install(standard_registry(), policy)
@@ -22,14 +21,13 @@ fn seed_image(rt: &mut Runtime, path: &str, side: u32) {
             }
         }
     }
-    rt.kernel.fs.put(path, fileio::encode_image(&img, None));
+    rt.kernel.fs_put(path, fileio::encode_image(&img, None));
 }
 
 fn seed_evil_image(rt: &mut Runtime, path: &str, payload: &ExploitPayload) {
     let img = Image::new(16, 16, 3);
     rt.kernel
-        .fs
-        .put(path, fileio::encode_image(&img, Some(payload)));
+        .fs_put(path, fileio::encode_image(&img, Some(payload)));
 }
 
 #[test]
@@ -118,7 +116,7 @@ fn seed_direct(kernel: &mut freepart_simos::Kernel, path: &str, side: u32) {
             }
         }
     }
-    kernel.fs.put(path, fileio::encode_image(&img, None));
+    kernel.fs_put(path, fileio::encode_image(&img, None));
 }
 
 #[test]
@@ -323,7 +321,7 @@ fn sealed_filter_blocks_exfiltration_from_processing_agent() {
     };
     seed_evil_image(&mut rt, "/evil.simg", &payload);
     let tainted = rt.call("cv2.imread", &[Value::from("/evil.simg")]).unwrap();
-    rt.kernel.fs.put("/c.xml", vec![1; 16]);
+    rt.kernel.fs_put("/c.xml", vec![1; 16]);
     let clf = rt
         .call("cv2.CascadeClassifier.load", &[Value::from("/c.xml")])
         .unwrap();
@@ -407,7 +405,7 @@ fn capture_state_survives_restart_via_snapshot() {
         snapshot_interval: 1,
         ..Policy::freepart()
     });
-    rt.kernel.camera = Some(Camera::new(3, CAMERA_FRAME_LEN));
+    rt.kernel.attach_camera(3, CAMERA_FRAME_LEN);
     let cap = rt.call("cv2.VideoCapture", &[Value::I64(0)]).unwrap();
     rt.call("cv2.VideoCapture.read", std::slice::from_ref(&cap))
         .unwrap();

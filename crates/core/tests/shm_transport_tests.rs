@@ -10,7 +10,7 @@ use freepart_frameworks::{fileio, image::Image, Value};
 /// clear [`Policy::DEFAULT_SHM_THRESHOLD`] (32×32×3 = 3072 bytes), so
 /// image objects ride the segment path under [`Policy::freepart_shm`].
 fn shm_sized_pipeline(rt: &mut Runtime) -> Value {
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/in.simg",
         fileio::encode_image(&Image::new(32, 32, 3), None),
     );
@@ -50,7 +50,7 @@ fn runtime_stats_surface_the_kernel_shm_counters() {
 #[test]
 fn state_transitions_revoke_out_of_state_grants() {
     let mut rt = Runtime::install(standard_registry(), Policy::freepart_shm());
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/in.simg",
         fileio::encode_image(&Image::new(32, 32, 3), None),
     );

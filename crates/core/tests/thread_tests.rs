@@ -9,7 +9,7 @@ use freepart_frameworks::{fileio, image::Image, ExploitAction, ExploitPayload, V
 
 fn seed(rt: &mut Runtime, path: &str, payload: Option<&ExploitPayload>) {
     let img = Image::new(16, 16, 3);
-    rt.kernel.fs.put(path, fileio::encode_image(&img, payload));
+    rt.kernel.fs_put(path, fileio::encode_image(&img, payload));
 }
 
 #[test]

@@ -7,14 +7,13 @@ use freepart::{AuditRecord, Policy, RestartBudget, Runtime, SpanPhase};
 use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::registry::standard_registry;
 use freepart_frameworks::{fileio, image::Image, ExploitAction, ExploitPayload, Value};
-use freepart_simos::device::Camera;
 use freepart_simos::FaultKind;
 
 /// Drives the OMR grader's per-sample call shape: load → process
 /// (three hops) → contour extraction → display → store. Walks the
 /// framework-state machine through every state.
 fn omr_shaped_pipeline(rt: &mut Runtime) {
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/in.simg",
         fileio::encode_image(&Image::new(16, 16, 3), None),
     );
@@ -84,7 +83,7 @@ fn tracing_disabled_records_nothing_and_enabled_costs_no_virtual_time() {
 fn replay_after_crash_shows_up_as_journal_hit_and_restart_span() {
     let mut rt = Runtime::install(standard_registry(), Policy::freepart());
     rt.enable_tracing();
-    rt.kernel.camera = Some(Camera::new(7, CAMERA_FRAME_LEN));
+    rt.kernel.attach_camera(7, CAMERA_FRAME_LEN);
     let cap = rt.call("cv2.VideoCapture", &[Value::I64(0)]).unwrap();
     rt.call("cv2.VideoCapture.read", std::slice::from_ref(&cap))
         .unwrap();
@@ -127,8 +126,7 @@ fn chrome_export_gives_each_application_thread_its_own_row() {
     );
     rt.enable_tracing();
     rt.kernel
-        .fs
-        .put("/in.simg", fileio::encode_image(&Image::new(8, 8, 3), None));
+        .fs_put("/in.simg", fileio::encode_image(&Image::new(8, 8, 3), None));
     let writer = rt.spawn_thread();
     let img = rt
         .call_on(ThreadId::MAIN, "cv2.imread", &[Value::from("/in.simg")])
@@ -139,7 +137,7 @@ fn chrome_export_gives_each_application_thread_its_own_row() {
     // Supervisor events: a snapshot lost to an injected restore failure
     // (the restart burns the only budget token), then a crash whose
     // respawn is denied on the empty bucket.
-    rt.kernel.camera = Some(Camera::new(5, CAMERA_FRAME_LEN));
+    rt.kernel.attach_camera(5, CAMERA_FRAME_LEN);
     let cap = rt.call("cv2.VideoCapture", &[Value::I64(0)]).unwrap();
     rt.call("cv2.VideoCapture.read", std::slice::from_ref(&cap))
         .unwrap();
@@ -152,7 +150,7 @@ fn chrome_export_gives_each_application_thread_its_own_row() {
         cve: "CVE-2017-14136".into(),
         actions: vec![ExploitAction::CrashSelf],
     };
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/evil.simg",
         fileio::encode_image(&Image::new(16, 16, 3), Some(&payload)),
     );
@@ -213,7 +211,7 @@ fn a_poller_consuming_incrementally_sees_every_record_exactly_once() {
     // equal the full log — nothing dropped, nothing duplicated.
     let mut rt = Runtime::install(standard_registry(), Policy::freepart());
     rt.enable_tracing();
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/in.simg",
         fileio::encode_image(&Image::new(16, 16, 3), None),
     );

@@ -28,7 +28,7 @@
 //! let mut objects = ObjectStore::new();
 //!
 //! // Seed an image file and run `cv2.imread` + `cv2.GaussianBlur`.
-//! kernel.fs.put("/in.simg", fileio::encode_image(&Image::new(8, 8, 3), None));
+//! kernel.fs_put("/in.simg", fileio::encode_image(&Image::new(8, 8, 3), None));
 //! let imread = reg.id_of("cv2.imread").unwrap();
 //! let blur = reg.id_of("cv2.GaussianBlur").unwrap();
 //!

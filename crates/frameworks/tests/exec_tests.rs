@@ -9,7 +9,6 @@ use freepart_frameworks::tensor::Tensor;
 use freepart_frameworks::{
     ApiCtx, ApiRegistry, ExploitAction, ExploitPayload, ObjectKind, ObjectStore, Value,
 };
-use freepart_simos::device::Camera;
 use freepart_simos::{Kernel, Pid};
 
 struct Rig {
@@ -49,7 +48,7 @@ impl Rig {
                 }
             }
         }
-        self.kernel.fs.put(path, fileio::encode_image(&img, None));
+        self.kernel.fs_put(path, fileio::encode_image(&img, None));
     }
 }
 
@@ -82,7 +81,7 @@ fn imread_missing_file_is_errno_not_crash() {
 #[test]
 fn imread_garbage_is_parse_error() {
     let mut rig = Rig::new();
-    rig.kernel.fs.put("/junk", b"not an image".to_vec());
+    rig.kernel.fs_put("/junk", b"not an image".to_vec());
     let err = rig.call("cv2.imread", &[Value::from("/junk")]).unwrap_err();
     assert!(matches!(err, FrameworkError::Parse(_)));
 }
@@ -90,7 +89,7 @@ fn imread_garbage_is_parse_error() {
 #[test]
 fn camera_capture_pipeline() {
     let mut rig = Rig::new();
-    rig.kernel.camera = Some(Camera::new(7, CAMERA_FRAME_LEN));
+    rig.kernel.attach_camera(7, CAMERA_FRAME_LEN);
     let cap = rig.call("cv2.VideoCapture", &[Value::I64(0)]).unwrap();
     let f1 = rig
         .call("cv2.VideoCapture.read", std::slice::from_ref(&cap))
@@ -135,7 +134,7 @@ fn imshow_presents_to_display_and_connects_once() {
 fn detect_multiscale_and_contours_return_rects() {
     let mut rig = Rig::new();
     rig.seed_image("/in.simg", 32, 32);
-    rig.kernel.fs.put("/cascade.xml", vec![5; 64]);
+    rig.kernel.fs_put("/cascade.xml", vec![5; 64]);
     let clf = rig
         .call("cv2.CascadeClassifier.load", &[Value::from("/cascade.xml")])
         .unwrap();
@@ -194,8 +193,7 @@ fn tensor_pipeline_forward_and_train() {
     let mut rig = Rig::new();
     let weights = Tensor::generate(&[64], |i| (i as f32 * 0.1).cos());
     rig.kernel
-        .fs
-        .put("/model.stsr", fileio::encode_tensor(&weights, None));
+        .fs_put("/model.stsr", fileio::encode_tensor(&weights, None));
     let model = rig
         .call("torch.load", &[Value::from("/model.stsr")])
         .unwrap();
@@ -255,7 +253,7 @@ fn dataset_load_reads_directory() {
 #[test]
 fn csv_roundtrip_via_pandas() {
     let mut rig = Rig::new();
-    rig.kernel.fs.put(
+    rig.kernel.fs_put(
         "/t.csv",
         fileio::encode_csv(&[vec![1.0, 2.0], vec![3.0, 4.0]]),
     );
@@ -310,8 +308,7 @@ fn vulnerable_imread_fires_payload_patched_loader_taints() {
     };
     let img = Image::new(8, 8, 3);
     rig.kernel
-        .fs
-        .put("/evil.simg", fileio::encode_image(&img, Some(&payload)));
+        .fs_put("/evil.simg", fileio::encode_image(&img, Some(&payload)));
     // cv2.imread IS vulnerable to this CVE → DoS succeeds, process dies.
     let err = rig
         .call("cv2.imread", &[Value::from("/evil.simg")])
@@ -323,8 +320,7 @@ fn vulnerable_imread_fires_payload_patched_loader_taints() {
     // survives but carries the malformed content as taint.
     let mut rig = Rig::new();
     rig.kernel
-        .fs
-        .put("/evil.simg", fileio::encode_image(&img, Some(&payload)));
+        .fs_put("/evil.simg", fileio::encode_image(&img, Some(&payload)));
     let loaded = rig
         .call("PIL.Image.open", &[Value::from("/evil.simg")])
         .unwrap();
@@ -342,8 +338,7 @@ fn taint_propagates_and_fires_in_vulnerable_processing_api() {
     };
     let img = Image::new(32, 32, 3);
     rig.kernel
-        .fs
-        .put("/evil.simg", fileio::encode_image(&img, Some(&payload)));
+        .fs_put("/evil.simg", fileio::encode_image(&img, Some(&payload)));
     // imread is NOT vulnerable to 14491 in our catalog? It is not listed,
     // so loading succeeds with taint.
     let loaded = rig
@@ -358,7 +353,7 @@ fn taint_propagates_and_fires_in_vulnerable_processing_api() {
         .taint
         .is_some());
     // detectMultiScale IS vulnerable to CVE-2019-14491 → crash.
-    rig.kernel.fs.put("/c.xml", vec![1; 16]);
+    rig.kernel.fs_put("/c.xml", vec![1; 16]);
     let clf = rig
         .call("cv2.CascadeClassifier.load", &[Value::from("/c.xml")])
         .unwrap();
@@ -386,8 +381,7 @@ fn exploit_corruption_without_crash_lets_api_complete() {
     };
     let img = Image::new(8, 8, 3);
     rig.kernel
-        .fs
-        .put("/evil.simg", fileio::encode_image(&img, Some(&payload)));
+        .fs_put("/evil.simg", fileio::encode_image(&img, Some(&payload)));
     let loaded = rig
         .call("cv2.imread", &[Value::from("/evil.simg")])
         .unwrap();
@@ -417,7 +411,7 @@ fn window_ops_and_key_polling() {
     rig.call("cv2.namedWindow", &[Value::from("w")]).unwrap();
     assert_eq!(rig.kernel.display.window_count(), 1);
     assert_eq!(rig.call("cv2.pollKey", &[]).unwrap(), Value::I64(-1));
-    rig.kernel.display.push_key(b'q');
+    rig.kernel.push_key(b'q');
     assert_eq!(
         rig.call("cv2.pollKey", &[]).unwrap(),
         Value::I64(b'q' as i64)
@@ -471,7 +465,7 @@ fn every_processing_api_runs_on_a_small_mat_or_tensor() {
             ],
             K::PutText => vec![img, Value::from("x"), Value::I64(0), Value::I64(0)],
             K::DetectMultiScale => {
-                rig.kernel.fs.put("/c.xml", vec![1; 8]);
+                rig.kernel.fs_put("/c.xml", vec![1; 8]);
                 let clf = rig
                     .call("cv2.CascadeClassifier.load", &[Value::from("/c.xml")])
                     .unwrap();

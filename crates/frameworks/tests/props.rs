@@ -51,7 +51,7 @@ proptest! {
         let mut kernel = Kernel::new();
         let pid = kernel.spawn("chain");
         let mut objects = ObjectStore::new();
-        kernel.fs.put(
+        kernel.fs_put(
             "/in.simg",
             fileio::encode_image(&Image::new(side, side, 3), None),
         );
@@ -88,7 +88,7 @@ proptest! {
         let mut kernel = Kernel::new();
         let pid = kernel.spawn("chain");
         let mut objects = ObjectStore::new();
-        kernel.fs.put(
+        kernel.fs_put(
             "/evil.simg",
             fileio::encode_image(&Image::new(8, 8, 3), Some(&payload)),
         );

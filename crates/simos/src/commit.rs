@@ -6,7 +6,10 @@
 //! [`CommitRecord`] describing the operation ([`CommitOp`]), a compact
 //! summary of its result ([`CommitOutcome`]), and the kernel's
 //! [state digest](crate::KernelState::digest) *after* the operation
-//! applied. Pure reads record nothing; a read that faults surfaces as the
+//! applied. The digest is an additive set hash kept up to date per
+//! changed entity (see [`crate::core::digest`]), so recording costs
+//! O(what the op changed) per record, not a walk over the kernel. Pure
+//! reads record nothing; a read that faults surfaces as the
 //! [`CommitOp::DeliverFault`] transition it really is.
 //!
 //! The log is the ground truth for [`replay`](crate::replay): folding the
@@ -38,6 +41,15 @@ pub fn mix(h: u64, v: u64) -> u64 {
         h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Folds one `u64` into a running fingerprint a word at a time (the
+/// FxHash step: rotate, xor, multiply) — for fingerprints recomputed on
+/// every state digest, where [`mix`]'s byte-at-a-time loop would cost
+/// eight multiplies a word. Bijective in `v` for a fixed `h` and in `h`
+/// for a fixed `v`, so changing any one folded word changes the result.
+pub fn fold_word(h: u64, v: u64) -> u64 {
+    (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
 /// Folds a byte slice into a running FNV-1a hash (length-prefixed, so

@@ -185,7 +185,7 @@ pub(super) fn dispatch(
             Ok(SyscallRet::Ok)
         }
         S::Mprotect { addr, len, perms } => {
-            let p = state.procs.get_mut(&pid).expect("checked");
+            let p = state.process_mut(pid).expect("checked");
             match p.aspace.protect(addr, len, perms) {
                 Ok(changed) => {
                     charge_protect(state, fx, pid, changed);

@@ -60,6 +60,27 @@ pub enum Counter {
 }
 
 impl Counter {
+    /// Every counter, in [`Metrics`] field order.
+    pub const ALL: [Counter; crate::metrics::COUNTERS] = [
+        Counter::IpcMessages,
+        Counter::IpcBytes,
+        Counter::CopiedBytes,
+        Counter::CopyOps,
+        Counter::Syscalls,
+        Counter::FilterKills,
+        Counter::Faults,
+        Counter::Spawns,
+        Counter::ProtectedPages,
+        Counter::TimelineMerges,
+        Counter::ShmGrants,
+        Counter::ShmRevokes,
+        Counter::ShmMappedBytes,
+        Counter::CallsBatched,
+        Counter::SnapshotBytesCopied,
+        Counter::SnapshotObjectsSkipped,
+        Counter::Reaps,
+    ];
+
     /// Adds `delta` to the counter's field in `m`.
     pub fn apply(self, m: &mut Metrics, delta: u64) {
         *self.field_mut(m) += delta;

@@ -1,14 +1,17 @@
 //! The pure kernel core: a state machine with no I/O, no ambient
 //! clock, and no external entropy.
 //!
-//! This module is the verification target of simos. It has three
+//! This module is the verification target of simos. It has four
 //! parts:
 //!
 //! * [`state::KernelState`] — every piece of kernel state (processes,
 //!   address spaces, shm segments, filters, channels, devices, virtual
-//!   clocks, metrics) as plain data, with a canonical
-//!   [`digest`](state::KernelState::digest) and machine-checked
+//!   clocks, metrics) as plain data, with machine-checked
 //!   [`invariants`](state::KernelState::check_invariants).
+//! * [`digest`] — the canonical state
+//!   [`digest`](state::KernelState::digest): an additive set hash the
+//!   state keeps up to date through dirty marks, and its from-scratch
+//!   oracle [`digest_reference`](state::KernelState::digest_reference).
 //! * [`step::step`] — the single total transition function. Every
 //!   kernel behavior is an arm of one `match` over
 //!   [`CommitOp`](crate::commit::CommitOp); there is no other way to
@@ -26,6 +29,7 @@
 //! library's time, filesystem, or network facilities — or to any
 //! entropy source — inside `core/` fails the build.
 
+pub mod digest;
 pub mod effects;
 pub mod state;
 pub mod step;

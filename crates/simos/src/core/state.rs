@@ -11,7 +11,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::commit::{self, OpSummary};
 use crate::cost::{CostModel, VirtualClock};
 use crate::device::{Camera, Display, NetworkLog};
 use crate::error::{SimError, SimResult};
@@ -19,10 +18,11 @@ use crate::filter::SyscallFilter;
 use crate::fs::SimFs;
 use crate::ipc::{ChannelId, RingChannel};
 use crate::mem::{Addr, Perms, PAGE_SIZE};
-use crate::process::{FdTarget, Pid, ProcessState, SimProcess};
+use crate::process::{Pid, SimProcess};
 use crate::shm::{ShmId, ShmSegment};
 use crate::Metrics;
 
+use super::digest::Cache;
 use super::effects::{Counter, Effect, Effects};
 
 /// How virtual time flows through the kernel.
@@ -76,6 +76,11 @@ impl EntropyStream {
         result
     }
 
+    /// The generator state, for the kernel state digest.
+    pub(crate) fn words(&self) -> [u64; 4] {
+        self.s
+    }
+
     /// One byte of the stream (the low byte of the next word, matching
     /// the previous generator's `u8` draw).
     pub(crate) fn next_byte(&mut self) -> u8 {
@@ -120,6 +125,9 @@ pub struct KernelState {
     /// Kernel-owned shared-memory segments (see [`crate::shm`]).
     pub(crate) shm: BTreeMap<ShmId, ShmSegment>,
     pub(crate) next_shm: u64,
+    /// The incremental digest's folded terms and dirty marks (see
+    /// [`crate::core::digest`]).
+    pub(crate) digest_cache: Cache,
 }
 
 impl Default for KernelState {
@@ -154,6 +162,7 @@ impl KernelState {
             entropy: EntropyStream::seeded(ENTROPY_SEED),
             shm: BTreeMap::new(),
             next_shm: 0,
+            digest_cache: Cache::default(),
         }
     }
 
@@ -169,98 +178,6 @@ impl KernelState {
             && self.clock.now_ns() == 0
     }
 
-    /// Digest of the complete observable kernel state: clocks and
-    /// timelines, counters, every process (address-space fingerprint,
-    /// state, filter, fd table), channels, segments and their grant
-    /// tables, the file system, and devices. Two states that evolved
-    /// through the same transition sequence report the same digest; the
-    /// replayer compares this after every re-applied op.
-    ///
-    /// Large payloads (page data, files, segment bytes, ring traffic)
-    /// enter through incrementally-maintained fingerprints, so a digest
-    /// is O(processes + segments + channels), not O(memory).
-    pub fn digest(&self) -> u64 {
-        let mut h = commit::FINGERPRINT_SEED;
-        h = commit::mix(h, self.clock.now_ns());
-        h = commit::mix(
-            h,
-            match self.mode {
-                TimelineMode::Global => 0,
-                TimelineMode::PerProcess => 1,
-            },
-        );
-        h = commit::mix(h, self.time_ctx.summary());
-        h = commit::mix(h, self.timelines.len() as u64);
-        for (pid, t) in &self.timelines {
-            h = commit::mix(commit::mix(h, u64::from(pid.0)), t.now_ns());
-        }
-        h = commit::mix(h, self.metrics.fingerprint());
-        h = commit::mix(h, u64::from(self.next_pid));
-        h = commit::mix(h, u64::from(self.next_channel));
-        h = commit::mix(h, self.next_shm);
-        for (pid, p) in &self.procs {
-            h = commit::mix(h, u64::from(pid.0));
-            h = commit::mix(h, commit::hash_str(&p.name));
-            h = match &p.state {
-                ProcessState::Running => commit::mix(h, 1),
-                ProcessState::Exited(code) => commit::mix(commit::mix(h, 2), *code as u64),
-                ProcessState::Crashed(f) => commit::mix(commit::mix(h, 3), f.summary()),
-            };
-            h = commit::mix(h, u64::from(p.no_new_privs));
-            h = commit::mix(h, p.cpu_ns);
-            h = commit::mix(h, p.aspace.fingerprint());
-            h = commit::mix(h, p.aspace.page_count() as u64);
-            h = commit::mix(h, p.fd_table.len() as u64);
-            for (fd, target) in &p.fd_table {
-                h = commit::mix(h, u64::from(fd.0));
-                h = match target {
-                    FdTarget::File { path, offset } => commit::mix(
-                        commit::mix(commit::mix(h, 1), commit::hash_str(path)),
-                        *offset,
-                    ),
-                    FdTarget::Device(kind) => {
-                        commit::mix(commit::mix(h, 2), commit::hash_str(&format!("{kind:?}")))
-                    }
-                    FdTarget::Socket { dest } => {
-                        commit::mix(commit::mix(h, 3), commit::hash_str(dest))
-                    }
-                };
-            }
-            h = match &p.filter {
-                None => commit::mix(h, 0),
-                Some(f) => {
-                    let mut fh = commit::mix(commit::mix(h, 1), u64::from(f.is_locked()));
-                    for no in f.allowed_numbers() {
-                        fh = commit::mix(fh, no as u64);
-                    }
-                    fh
-                }
-            };
-        }
-        for (id, ch) in &self.channels {
-            h = commit::mix(h, u64::from(id.0));
-            h = commit::mix(h, ch.fingerprint());
-            h = commit::mix(h, u64::from(ch.a.0));
-            h = commit::mix(h, u64::from(ch.b.0));
-        }
-        for (id, seg) in &self.shm {
-            h = commit::mix(h, id.0);
-            h = commit::mix(h, seg.fingerprint());
-            h = commit::mix(h, seg.write_epoch());
-            for (pid, perms) in seg.grants() {
-                h = commit::mix(commit::mix(h, u64::from(pid.0)), u64::from(perms.bits()));
-                h = commit::mix(h, u64::from(seg.is_mapped(pid)));
-            }
-        }
-        h = commit::mix(h, self.fs.fingerprint());
-        h = match &self.camera {
-            None => commit::mix(h, 0),
-            Some(c) => commit::mix(commit::mix(h, 1), c.fingerprint()),
-        };
-        h = commit::mix(h, self.display.fingerprint());
-        commit::mix(h, self.network.fingerprint())
-    }
-
     // ------------------------------------------------------------------
     // Charging and counting (effect-emitting helpers for `step`)
     // ------------------------------------------------------------------
@@ -271,7 +188,7 @@ impl KernelState {
     pub(crate) fn charge_to(&mut self, fx: &mut Effects, pid: Pid, ns: u64) {
         match self.mode {
             TimelineMode::Global => self.clock.charge(ns),
-            TimelineMode::PerProcess => self.timelines.entry(pid).or_default().charge(ns),
+            TimelineMode::PerProcess => self.timeline_mut(pid).charge(ns),
         }
         fx.push(Effect::Charge { pid: Some(pid), ns });
     }
@@ -281,7 +198,7 @@ impl KernelState {
     pub(crate) fn charge_ctx(&mut self, fx: &mut Effects, ns: u64) {
         let pid = match (self.mode, self.time_ctx) {
             (TimelineMode::PerProcess, Some(pid)) => {
-                self.timelines.entry(pid).or_default().charge(ns);
+                self.timeline_mut(pid).charge(ns);
                 Some(pid)
             }
             _ => {
@@ -306,11 +223,6 @@ impl KernelState {
     /// Immutable access to a process.
     pub fn process(&self, pid: Pid) -> SimResult<&SimProcess> {
         self.procs.get(&pid).ok_or(SimError::NoSuchProcess(pid))
-    }
-
-    /// Mutable access to a process (harness-level, not attacker-level).
-    pub fn process_mut(&mut self, pid: Pid) -> SimResult<&mut SimProcess> {
-        self.procs.get_mut(&pid).ok_or(SimError::NoSuchProcess(pid))
     }
 
     /// All pids, in spawn order.

@@ -131,7 +131,7 @@ pub(super) fn crash(
     addr: Option<Addr>,
 ) -> Fault {
     let fault = Fault { pid, kind, addr };
-    if let Some(p) = state.procs.get_mut(&pid) {
+    if let Ok(p) = state.process_mut(pid) {
         if p.is_running() {
             p.state = ProcessState::Crashed(fault.clone());
             state.bump(fx, Counter::Faults, 1);
@@ -184,13 +184,13 @@ fn protect(
     }
     let mut total = 0;
     for &(pid, addr, len) in ranges {
-        let p = state.procs.get_mut(&pid).expect("validated");
+        let p = state.process_mut(pid).expect("validated");
         let changed = p.aspace.protect(addr, len, perms).expect("validated");
         charge_protect(state, fx, pid, changed);
         total += changed;
     }
     for g in groups {
-        let aspace = &mut state.procs.get_mut(&g.pid).expect("validated").aspace;
+        let aspace = &mut state.process_mut(g.pid).expect("validated").aspace;
         for &(addr, len) in &g.leave {
             aspace.leave(g.from, addr, len);
         }
@@ -222,6 +222,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             let pid = Pid(state.next_pid);
             state.next_pid += 1;
             state.procs.insert(pid, SimProcess::new(pid, name));
+            state.mark_process(pid);
             let ns = state.cost.spawn_ns;
             state.charge_ctx(fx, ns);
             if state.mode == TimelineMode::PerProcess {
@@ -233,7 +234,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
                 };
                 let mut c = VirtualClock::new();
                 c.charge(birth);
-                state.timelines.insert(pid, c);
+                *state.timeline_mut(pid) = c;
             }
             state.bump(fx, Counter::Spawns, 1);
             Ok(StepValue::Proc(pid))
@@ -253,15 +254,22 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             }
             let pages = p.aspace.mapped_bytes() / PAGE_SIZE;
             state.procs.remove(&pid);
-            for seg in state.shm.values_mut() {
-                seg.purge(pid);
+            state.mark_process(pid);
+            let held: Vec<ShmId> = state
+                .shm
+                .iter()
+                .filter(|(_, seg)| seg.grants.contains_key(&pid) || seg.is_mapped(pid))
+                .map(|(id, _)| *id)
+                .collect();
+            for id in held {
+                state.segment_mut(id).expect("listed").purge(pid);
             }
             state.bump(fx, Counter::Reaps, 1);
             Ok(StepValue::Num(pages))
         }
         O::ForceExit { pid, code } => {
-            let changed = match state.procs.get_mut(pid) {
-                Some(p) if p.is_running() => {
+            let changed = match state.process_mut(*pid) {
+                Ok(p) if p.is_running() => {
                     p.state = ProcessState::Exited(*code);
                     true
                 }
@@ -270,11 +278,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             Ok(StepValue::Flag(changed))
         }
         O::SetNoNewPrivs { pid } => {
-            let p = state
-                .procs
-                .get_mut(pid)
-                .ok_or(SimError::NoSuchProcess(*pid))?;
-            p.no_new_privs = true;
+            state.process_mut(*pid)?.no_new_privs = true;
             Ok(StepValue::Unit)
         }
 
@@ -287,7 +291,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
         O::MemWrite { pid, addr, bytes } => {
             let (pid, addr) = (*pid, *addr);
             state.require_running(pid)?;
-            let p = state.procs.get_mut(&pid).expect("checked");
+            let p = state.process_mut(pid).expect("checked");
             match p.aspace.write(addr, bytes) {
                 Ok(()) => Ok(StepValue::Unit),
                 Err(kind) => Err(crash(state, fx, pid, kind, Some(addr)).into()),
@@ -310,6 +314,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             seg.grants.insert(owner, Perms::RW);
             seg.mapped.insert(owner);
             state.shm.insert(id, seg);
+            state.mark_segment(id);
             let ns = state.cost.syscall_ns + state.cost.shm_map_cost(len);
             state.charge_to(fx, owner, ns);
             state.bump(fx, Counter::ShmGrants, 1);
@@ -319,7 +324,9 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
         O::ShmGrant { id, pid, perms } => {
             let pid = *pid;
             state.require_running(pid)?;
-            let seg = state.shm.get_mut(id).ok_or(SimError::Errno(Errno::Ebadf))?;
+            let seg = state
+                .segment_mut(*id)
+                .ok_or(SimError::Errno(Errno::Ebadf))?;
             seg.grants.insert(pid, *perms);
             let ns = state.cost.syscall_ns;
             state.charge_to(fx, pid, ns);
@@ -329,7 +336,9 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
         O::ShmMap { pid, id } => {
             let pid = *pid;
             state.require_running(pid)?;
-            let seg = state.shm.get_mut(id).ok_or(SimError::Errno(Errno::Ebadf))?;
+            let seg = state
+                .segment_mut(*id)
+                .ok_or(SimError::Errno(Errno::Ebadf))?;
             if !seg.grants.contains_key(&pid) {
                 return Err(SimError::Errno(Errno::Eacces));
             }
@@ -345,7 +354,9 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             Ok(StepValue::Num(len))
         }
         O::ShmRevoke { id, pid } => {
-            let seg = state.shm.get_mut(id).ok_or(SimError::Errno(Errno::Ebadf))?;
+            let seg = state
+                .segment_mut(*id)
+                .ok_or(SimError::Errno(Errno::Ebadf))?;
             let existed = seg.grants.remove(pid).is_some();
             seg.mapped.remove(pid);
             if existed {
@@ -357,7 +368,9 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             Ok(StepValue::Flag(existed))
         }
         O::ShmProtectAll { id, perms } => {
-            let seg = state.shm.get_mut(id).ok_or(SimError::Errno(Errno::Ebadf))?;
+            let seg = state
+                .segment_mut(*id)
+                .ok_or(SimError::Errno(Errno::Ebadf))?;
             let pages = seg.len().div_ceil(PAGE_SIZE).max(1);
             let mut changed = 0;
             for p in seg.grants.values_mut() {
@@ -383,21 +396,24 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             if !ok {
                 return Err(crash(state, fx, pid, FaultKind::Protection, None).into());
             }
-            let seg = state.shm.get_mut(id).expect("checked");
+            let seg = state.segment_mut(*id).expect("checked");
             seg.replace_data(bytes);
             Ok(StepValue::Unit)
         }
-        O::ShmDestroy { id } => Ok(StepValue::Flag(state.shm.remove(id).is_some())),
+        O::ShmDestroy { id } => {
+            state.mark_segment(*id);
+            Ok(StepValue::Flag(state.shm.remove(id).is_some()))
+        }
 
         // ---------------- filters and syscalls ----------------
         O::InstallFilter { pid, filter } => {
             let pid = *pid;
             state.require_running(pid)?;
-            let p = state.procs.get_mut(&pid).expect("checked");
+            let p = state.process_mut(pid).expect("checked");
             if p.no_new_privs {
                 return Err(SimError::Errno(Errno::Eperm));
             }
-            p.filter = Some(filter.clone());
+            p.install_filter(filter.clone());
             Ok(StepValue::Unit)
         }
         O::Syscall { pid, call } => {
@@ -441,6 +457,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             state
                 .channels
                 .insert(id, RingChannel::new(*a, *b, *capacity));
+            state.mark_channel(id);
             Ok(StepValue::Chan(id))
         }
         O::IpcSend { pid, chan, payload } => {
@@ -452,7 +469,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             // the charges below complete, so a receiver on its own
             // timeline merges against the true completion of the send.
             let send_ns = state.timeline_ns(pid) + latency + copy;
-            let channel = state.channels.get_mut(chan).ok_or(SimError::BadChannel)?;
+            let channel = state.channel_mut(*chan).ok_or(SimError::BadChannel)?;
             channel
                 .send(pid, bytes::Bytes::copy_from_slice(payload), send_ns)
                 .map_err(|e| match e {
@@ -469,11 +486,11 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             let pid = *pid;
             state.require_running(pid)?;
             let latency = state.cost.ipc_latency_ns();
-            let channel = state.channels.get_mut(chan).ok_or(SimError::BadChannel)?;
+            let channel = state.channel_mut(*chan).ok_or(SimError::BadChannel)?;
             match channel.try_recv(pid) {
                 Ok(Some(frame)) => {
                     if state.mode == TimelineMode::PerProcess {
-                        let t = state.timelines.entry(pid).or_default();
+                        let t = state.timeline_mut(pid);
                         if frame.send_ns > t.now_ns() {
                             let delta = frame.send_ns - t.now_ns();
                             t.charge(delta);
@@ -488,7 +505,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             }
         }
         O::RebindChannel { chan, new_b } => {
-            let channel = state.channels.get_mut(chan).ok_or(SimError::BadChannel)?;
+            let channel = state.channel_mut(*chan).ok_or(SimError::BadChannel)?;
             channel.rebind_b(*new_b);
             Ok(StepValue::Unit)
         }
@@ -508,7 +525,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
         O::ChargeCompute { pid, units } => {
             let ns = state.cost.compute_cost(*units);
             state.charge_to(fx, *pid, ns);
-            if let Some(p) = state.procs.get_mut(pid) {
+            if let Ok(p) = state.process_mut(*pid) {
                 p.cpu_ns += ns;
             }
             Ok(StepValue::Unit)
@@ -527,8 +544,8 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
         }
         O::ResetAccounting => {
             state.clock.reset();
-            for t in state.timelines.values_mut() {
-                t.reset();
+            for pid in state.timelines.keys().copied().collect::<Vec<_>>() {
+                state.timeline_mut(pid).reset();
             }
             state.metrics = crate::Metrics::new();
             Ok(StepValue::Unit)
@@ -544,7 +561,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             for pid in state.procs.keys().copied().collect::<Vec<_>>() {
                 let mut c = VirtualClock::new();
                 c.charge(now);
-                state.timelines.insert(pid, c);
+                *state.timeline_mut(pid) = c;
             }
             Ok(StepValue::Unit)
         }
@@ -554,7 +571,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
         }
         O::AdvanceTimeline { pid, ns } => {
             if state.mode == TimelineMode::PerProcess {
-                let t = state.timelines.entry(*pid).or_default();
+                let t = state.timeline_mut(*pid);
                 if *ns > t.now_ns() {
                     let delta = *ns - t.now_ns();
                     t.charge(delta);

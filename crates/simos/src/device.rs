@@ -7,7 +7,7 @@
 //! is how the evaluation's exfiltration analysis observes whether an
 //! attack managed to `send()` stolen bytes off-box.
 
-use crate::commit::{fold_bytes, hash_str, mix, FINGERPRINT_SEED};
+use crate::commit::{fold_bytes, fold_word, hash_str, mix, FINGERPRINT_SEED};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -68,8 +68,8 @@ impl Camera {
     /// fully determined by the seed and the frames served, so the pair
     /// `(frame_len, frames_served)` pins it.
     pub fn fingerprint(&self) -> u64 {
-        mix(
-            mix(FINGERPRINT_SEED, self.frame_len as u64),
+        fold_word(
+            fold_word(FINGERPRINT_SEED, self.frame_len as u64),
             self.frames_served,
         )
     }
@@ -206,21 +206,27 @@ impl Display {
     /// slots), pending keys, blit volume, and connection flag. Window
     /// counts are tiny, so this walks rather than tracking incrementally.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = mix(
-            mix(FINGERPRINT_SEED, self.blitted_bytes),
+        let mut h = fold_word(
+            fold_word(FINGERPRINT_SEED, self.blitted_bytes),
             u64::from(self.connected),
         );
-        h = mix(h, self.windows.len() as u64);
+        h = fold_word(h, self.windows.len() as u64);
         for w in &self.windows {
             h = match w {
-                None => mix(h, 0),
-                Some(w) => mix(
-                    mix(mix(mix(h, 1), hash_str(&w.title)), w.last_frame_len as u64),
+                None => fold_word(h, 0),
+                Some(w) => fold_word(
+                    fold_word(
+                        fold_word(fold_word(h, 1), hash_str(&w.title)),
+                        w.last_frame_len as u64,
+                    ),
                     w.presents,
                 ),
             };
         }
-        fold_bytes(h, &self.key_queue)
+        h = fold_word(h, self.key_queue.len() as u64);
+        self.key_queue
+            .iter()
+            .fold(h, |h, &key| fold_word(h, u64::from(key)))
     }
 }
 

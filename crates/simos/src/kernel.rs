@@ -82,12 +82,6 @@ impl std::ops::Deref for Kernel {
     }
 }
 
-impl std::ops::DerefMut for Kernel {
-    fn deref_mut(&mut self) -> &mut KernelState {
-        &mut self.state
-    }
-}
-
 impl Kernel {
     /// A fresh kernel with the default cost model and seed.
     pub fn new() -> Kernel {
@@ -347,7 +341,7 @@ impl Kernel {
     /// [`SimError::Fault`](crate::error::SimError::Fault) is returned.
     pub fn mem_read(&mut self, pid: Pid, addr: Addr, len: u64) -> SimResult<Vec<u8>> {
         self.state.require_running(pid)?;
-        let p = self.state.procs.get_mut(&pid).expect("checked");
+        let p = &self.state.procs[&pid];
         match p.aspace.read(addr, len) {
             Ok(bytes) => Ok(bytes),
             Err(kind) => Err(self.deliver_fault(pid, kind, Some(addr)).into()),
@@ -376,7 +370,7 @@ impl Kernel {
     /// Same crash semantics as [`Kernel::mem_read`].
     pub fn mem_fetch(&mut self, pid: Pid, addr: Addr) -> SimResult<()> {
         self.state.require_running(pid)?;
-        let p = self.state.procs.get_mut(&pid).expect("checked");
+        let p = &self.state.procs[&pid];
         match p.aspace.fetch(addr) {
             Ok(()) => Ok(()),
             Err(kind) => Err(self.deliver_fault(pid, kind, Some(addr)).into()),
@@ -827,7 +821,7 @@ impl std::fmt::Debug for Kernel {
 mod tests {
     use super::*;
     use crate::syscall::SyscallNo;
-    use crate::{Camera, Errno, Metrics, SimError, PAGE_SIZE};
+    use crate::{Errno, Metrics, SimError, PAGE_SIZE};
 
     #[test]
     fn spawn_and_alloc_isolated_address_spaces() {
@@ -892,7 +886,7 @@ mod tests {
     fn file_syscall_roundtrip() {
         let mut k = Kernel::new();
         let p = k.spawn("loader");
-        k.fs.put("/in.png", vec![9, 8, 7]);
+        k.fs_put("/in.png", vec![9, 8, 7]);
         let fd = k
             .syscall(
                 p,
@@ -937,7 +931,7 @@ mod tests {
     #[test]
     fn camera_read_serves_frames() {
         let mut k = Kernel::new();
-        k.camera = Some(Camera::new(1, 32));
+        k.attach_camera(1, 32);
         let p = k.spawn("cap");
         let fd = k
             .syscall(

@@ -5,6 +5,9 @@
 //! normalized runtimes. All of those derive from these counters plus the
 //! virtual clock.
 
+/// Number of counters in [`Metrics`].
+pub const COUNTERS: usize = 17;
+
 /// Monotone counters over one simulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Metrics {
@@ -111,9 +114,10 @@ impl Metrics {
         self.ipc_bytes + self.copied_bytes
     }
 
-    /// Digest over every counter, for the kernel state digest.
-    pub fn fingerprint(&self) -> u64 {
-        let fields = [
+    /// Every counter, in declaration order (for the kernel state
+    /// digest, which folds each counter as its own term).
+    pub fn counters(&self) -> [u64; COUNTERS] {
+        [
             self.ipc_messages,
             self.ipc_bytes,
             self.copied_bytes,
@@ -131,10 +135,7 @@ impl Metrics {
             self.snapshot_bytes_copied,
             self.snapshot_objects_skipped,
             self.reaps,
-        ];
-        fields.iter().fold(crate::commit::FINGERPRINT_SEED, |h, v| {
-            crate::commit::mix(h, *v)
-        })
+        ]
     }
 }
 

@@ -7,6 +7,8 @@
 //! kernel, which attributes every memory access and syscall to the
 //! current pid.
 
+use crate::commit::hash_str;
+use crate::core::digest::filter_fingerprint;
 use crate::device::DeviceKind;
 use crate::error::Fault;
 use crate::filter::SyscallFilter;
@@ -81,6 +83,11 @@ pub struct SimProcess {
     pub(crate) next_fd: u32,
     /// Virtual ns of compute attributed to this process.
     pub cpu_ns: u64,
+    /// Fingerprint of `name`, for the kernel state digest.
+    pub(crate) name_fp: u64,
+    /// Fingerprint of the installed filter's allowlist, cached at
+    /// install for the kernel state digest (0 with no filter).
+    pub(crate) filter_fp: u64,
 }
 
 impl SimProcess {
@@ -96,7 +103,16 @@ impl SimProcess {
             fd_table: BTreeMap::new(),
             next_fd: 3, // 0..2 reserved, like Unix
             cpu_ns: 0,
+            name_fp: hash_str(name),
+            filter_fp: 0,
         }
+    }
+
+    /// Installs (or replaces) the syscall filter, caching its
+    /// fingerprint for the state digest.
+    pub(crate) fn install_filter(&mut self, filter: SyscallFilter) {
+        self.filter_fp = filter_fingerprint(&filter);
+        self.filter = Some(filter);
     }
 
     /// Allocates the next free descriptor pointing at `target`.

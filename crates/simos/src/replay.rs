@@ -16,8 +16,9 @@
 //!
 //! [`audit`] checks whole-trace properties no single step can see:
 //! filter immutability after sealing, grant/revoke balance per
-//! `(segment, pid)`, and page-protection accounting. These run over the
-//! log alone (plus a shadow replay for the accounting rule), so a forged
+//! `(segment, pid)`, page-protection accounting, and the incremental
+//! state digest against a from-scratch one. These run over the
+//! log alone (plus a shadow replay for the last two), so a forged
 //! or corrupted log is flagged even when each individual record looks
 //! plausible.
 //!
@@ -131,7 +132,7 @@ pub struct InvariantViolation {
     /// end-of-trace accounting mismatches).
     pub index: u64,
     /// Stable rule name: `filter-immutability`, `grant-balance`,
-    /// `grant-to-dead`, `page-accounting`.
+    /// `grant-to-dead`, `page-accounting`, `digest-drift`.
     pub rule: &'static str,
     /// Human-readable description.
     pub detail: String,
@@ -153,6 +154,12 @@ pub struct InvariantViolation {
 ///   (measured on a shadow replay) equals the shadow kernel's
 ///   `protected_pages` counter, resetting at
 ///   [`CommitOp::ResetAccounting`].
+/// * **digest-drift** — the shadow replay's incremental
+///   [`digest`](KernelState::digest), kept up to date across the whole
+///   trace, equals the from-scratch
+///   [`digest_reference`](KernelState::digest_reference) at the end: a
+///   transition that changed an entity without marking it for the
+///   digest would make replay blind to it. O(kernel), once per trace.
 ///
 /// Honest recorded logs audit clean; the rules exist to flag forged or
 /// corrupted logs and to prove the kernel itself keeps these promises
@@ -164,6 +171,8 @@ pub fn audit(log: &CommitLog) -> Vec<InvariantViolation> {
     let mut dead: BTreeSet<Pid> = BTreeSet::new();
     let mut grants: BTreeSet<(u64, u32)> = BTreeSet::new();
     let mut shadow = KernelState::with_cost_model(log.genesis().clone());
+    // Digest genesis so the shadow keeps dirty marks from the first op.
+    let _ = shadow.digest();
     let mut fx = Effects::new();
     let mut expected_pages: u64 = 0;
 
@@ -258,6 +267,17 @@ pub fn audit(log: &CommitLog) -> Vec<InvariantViolation> {
             detail: format!(
                 "log-audited page transitions ({expected_pages}) != kernel \
                  protected_pages counter ({counted})"
+            ),
+        });
+    }
+    let (incremental, reference) = (shadow.digest(), shadow.digest_reference());
+    if incremental != reference {
+        violations.push(InvariantViolation {
+            index: log.len(),
+            rule: "digest-drift",
+            detail: format!(
+                "incremental state digest {incremental:#018x} != from-scratch \
+                 digest {reference:#018x}"
             ),
         });
     }

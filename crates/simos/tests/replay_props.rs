@@ -2,258 +2,15 @@
 //! sequences replay digest-identical and audit clean, and tampered logs
 //! are flagged.
 
+mod ops;
+
 use freepart_simos::core::{outcome_of_step, step};
 use freepart_simos::replay::{audit, forensic_chain, replay, DivergenceKind};
 use freepart_simos::{
-    Addr, CommitLog, CommitOp, CommitOutcome, Effects, Kernel, KernelState, Perms, Pid, Syscall,
-    SyscallFilter, SyscallNo, PAGE_SIZE,
+    Addr, CommitLog, CommitOp, CommitOutcome, Effects, Kernel, KernelState, Perms, Pid, PAGE_SIZE,
 };
+use ops::{arb_step, perms_of, pick, record};
 use proptest::prelude::*;
-
-/// One step of a randomized workload over a small cast of processes,
-/// exercising every subsystem the commit log covers.
-#[derive(Debug, Clone)]
-enum Step {
-    Spawn,
-    Alloc(u8, u16),
-    Write(u8, u8, Vec<u8>),
-    Protect(u8, u8, u8),
-    /// One range-list protect: `(pid, region, page offset, byte len)`
-    /// per range — pids may be dead or reaped, ranges may overlap or run
-    /// off their region into unmapped pages.
-    ProtectBatch(Vec<(u8, u8, u8, u16)>, u8),
-    ShmCreate(u8, u16),
-    ShmGrant(u8, u8, u8),
-    ShmMap(u8, u8),
-    ShmRevoke(u8, u8),
-    ShmWrite(u8, u8, Vec<u8>),
-    Channel(u8, u8),
-    Send(u8, u8, Vec<u8>),
-    Recv(u8, u8),
-    Filter(u8, bool),
-    Seal(u8),
-    Sys(u8, u8),
-    ForceExit(u8),
-    Reap(u8),
-    FsPut(u8, Vec<u8>),
-    Gui(u8),
-    Compute(u8, u16),
-    Reset,
-}
-
-fn arb_step() -> impl Strategy<Value = Step> {
-    let bytes = || proptest::collection::vec(any::<u8>(), 0..32);
-    prop_oneof![
-        Just(Step::Spawn),
-        (any::<u8>(), 1u16..2048).prop_map(|(p, n)| Step::Alloc(p, n)),
-        (any::<u8>(), any::<u8>(), bytes()).prop_map(|(p, r, d)| Step::Write(p, r, d)),
-        (any::<u8>(), any::<u8>(), 0u8..5).prop_map(|(p, r, m)| Step::Protect(p, r, m)),
-        (
-            proptest::collection::vec((any::<u8>(), any::<u8>(), 0u8..3, 1u16..9000), 0..6),
-            0u8..5
-        )
-            .prop_map(|(rs, m)| Step::ProtectBatch(rs, m)),
-        (any::<u8>(), 1u16..2048).prop_map(|(p, n)| Step::ShmCreate(p, n)),
-        (any::<u8>(), any::<u8>(), 0u8..5).prop_map(|(s, p, m)| Step::ShmGrant(s, p, m)),
-        (any::<u8>(), any::<u8>()).prop_map(|(s, p)| Step::ShmMap(s, p)),
-        (any::<u8>(), any::<u8>()).prop_map(|(s, p)| Step::ShmRevoke(s, p)),
-        (any::<u8>(), any::<u8>(), bytes()).prop_map(|(s, p, d)| Step::ShmWrite(s, p, d)),
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Step::Channel(a, b)),
-        (any::<u8>(), any::<u8>(), bytes()).prop_map(|(c, p, d)| Step::Send(c, p, d)),
-        (any::<u8>(), any::<u8>()).prop_map(|(c, p)| Step::Recv(c, p)),
-        (any::<u8>(), any::<bool>()).prop_map(|(p, wide)| Step::Filter(p, wide)),
-        any::<u8>().prop_map(Step::Seal),
-        (any::<u8>(), any::<u8>()).prop_map(|(p, s)| Step::Sys(p, s)),
-        any::<u8>().prop_map(Step::ForceExit),
-        any::<u8>().prop_map(Step::Reap),
-        (any::<u8>(), bytes()).prop_map(|(p, d)| Step::FsPut(p, d)),
-        any::<u8>().prop_map(Step::Gui),
-        (any::<u8>(), 1u16..500).prop_map(|(p, u)| Step::Compute(p, u)),
-        Just(Step::Reset),
-    ]
-}
-
-fn perms_of(m: u8) -> Perms {
-    match m {
-        0 => Perms::NONE,
-        1 => Perms::R,
-        2 => Perms::RW,
-        3 => Perms::RX,
-        _ => Perms::RWX,
-    }
-}
-
-fn pick<T: Copy>(items: &[T], i: u8) -> Option<T> {
-    if items.is_empty() {
-        None
-    } else {
-        Some(items[i as usize % items.len()])
-    }
-}
-
-/// Drives a recording kernel through `steps`, ignoring per-step errors
-/// (faults, dead processes, bad handles are all legitimate transitions —
-/// the recorder must capture them too). Returns the detached log.
-fn record(steps: &[Step]) -> CommitLog {
-    let mut k = Kernel::new();
-    k.enable_commit_log();
-    let mut pids = vec![k.spawn("p0")];
-    let mut regions = Vec::new();
-    let mut segs = Vec::new();
-    let mut chans = Vec::new();
-    for s in steps {
-        match s {
-            Step::Spawn => {
-                if pids.len() < 8 {
-                    pids.push(k.spawn("p"));
-                }
-            }
-            Step::Alloc(p, n) => {
-                if let Some(pid) = pick(&pids, *p) {
-                    if let Ok(a) = k.alloc(pid, u64::from(*n), Perms::RW) {
-                        regions.push((pid, a, u64::from(*n)));
-                    }
-                }
-            }
-            Step::Write(p, r, d) => {
-                if let (Some(pid), Some(&(_, a, len))) = (
-                    pick(&pids, *p),
-                    regions.get(*r as usize % regions.len().max(1)),
-                ) {
-                    let n = d.len().min(len as usize);
-                    let _ = k.mem_write(pid, a, &d[..n]);
-                }
-            }
-            Step::Protect(p, r, m) => {
-                if let (Some(pid), Some(&(_, a, len))) = (
-                    pick(&pids, *p),
-                    regions.get(*r as usize % regions.len().max(1)),
-                ) {
-                    let _ = k.protect(pid, a, len, perms_of(*m));
-                }
-            }
-            Step::ProtectBatch(rs, m) => {
-                let ranges: Vec<_> = rs
-                    .iter()
-                    .filter_map(|&(p, r, off, len)| {
-                        let (_, a, _) = pick(&regions, r)?;
-                        let addr = Addr(a.0 + u64::from(off) * PAGE_SIZE);
-                        Some((pick(&pids, p)?, addr, u64::from(len)))
-                    })
-                    .collect();
-                let before = k.state_digest();
-                if k.protect_ranges(perms_of(*m), ranges).is_err() {
-                    assert_eq!(
-                        k.state_digest(),
-                        before,
-                        "a failed batch must change nothing"
-                    );
-                }
-            }
-            Step::ShmCreate(p, n) => {
-                if let Some(pid) = pick(&pids, *p) {
-                    if let Ok(id) = k.shm_create(pid, vec![7; *n as usize]) {
-                        segs.push(id);
-                    }
-                }
-            }
-            Step::ShmGrant(s, p, m) => {
-                if let (Some(id), Some(pid)) = (pick(&segs, *s), pick(&pids, *p)) {
-                    let _ = k.shm_grant(id, pid, perms_of(*m));
-                }
-            }
-            Step::ShmMap(s, p) => {
-                if let (Some(id), Some(pid)) = (pick(&segs, *s), pick(&pids, *p)) {
-                    let _ = k.shm_map(pid, id);
-                }
-            }
-            Step::ShmRevoke(s, p) => {
-                if let (Some(id), Some(pid)) = (pick(&segs, *s), pick(&pids, *p)) {
-                    let _ = k.shm_revoke(id, pid);
-                }
-            }
-            Step::ShmWrite(s, p, d) => {
-                if let (Some(id), Some(pid)) = (pick(&segs, *s), pick(&pids, *p)) {
-                    let _ = k.shm_write(pid, id, d);
-                }
-            }
-            Step::Channel(a, b) => {
-                if let (Some(pa), Some(pb)) = (pick(&pids, *a), pick(&pids, *b)) {
-                    if let Ok(c) = k.create_channel(pa, pb, 1 << 12) {
-                        chans.push(c);
-                    }
-                }
-            }
-            Step::Send(c, p, d) => {
-                if let (Some(ch), Some(pid)) = (pick(&chans, *c), pick(&pids, *p)) {
-                    let _ = k.ipc_send(pid, ch, d);
-                }
-            }
-            Step::Recv(c, p) => {
-                if let (Some(ch), Some(pid)) = (pick(&chans, *c), pick(&pids, *p)) {
-                    let _ = k.ipc_recv(pid, ch);
-                }
-            }
-            Step::Filter(p, wide) => {
-                if let Some(pid) = pick(&pids, *p) {
-                    let f = if *wide {
-                        SyscallFilter::allowing(SyscallNo::ALL.iter().copied())
-                    } else {
-                        SyscallFilter::allowing([SyscallNo::Getpid, SyscallNo::Prctl])
-                    };
-                    let _ = k.install_filter(pid, f);
-                }
-            }
-            Step::Seal(p) => {
-                if let Some(pid) = pick(&pids, *p) {
-                    let _ = k.set_no_new_privs(pid);
-                }
-            }
-            Step::Sys(p, s) => {
-                if let Some(pid) = pick(&pids, *p) {
-                    let call = match s % 6 {
-                        0 => Syscall::Getpid,
-                        1 => Syscall::Fork,
-                        2 => Syscall::Uname,
-                        3 => Syscall::PrctlNoNewPrivs,
-                        4 => Syscall::Brk { grow: 64 },
-                        _ => Syscall::Getrandom { len: 8 },
-                    };
-                    let _ = k.syscall(pid, call);
-                }
-            }
-            Step::ForceExit(p) => {
-                if let Some(pid) = pick(&pids, *p) {
-                    k.force_exit(pid, 1);
-                }
-            }
-            Step::Reap(p) => {
-                if let Some(pid) = pick(&pids, *p) {
-                    let _ = k.reap(pid);
-                }
-            }
-            Step::FsPut(p, d) => {
-                k.fs_put(&format!("/f{}", p % 4), d.clone());
-            }
-            Step::Gui(p) => {
-                let w = k.win_create(&format!("w{}", p % 3));
-                k.win_present(w, 64);
-                k.push_key(*p);
-                k.win_poll_key();
-                if p % 5 == 0 {
-                    k.win_destroy_all();
-                }
-            }
-            Step::Compute(p, u) => {
-                if let Some(pid) = pick(&pids, *p) {
-                    k.charge_compute(pid, u64::from(*u));
-                }
-            }
-            Step::Reset => k.reset_accounting(),
-        }
-    }
-    k.take_commit_log().unwrap()
-}
 
 /// A per-process-time kernel with one region of `pages[i]` pages per
 /// process, some of it already re-protected by `pre`. Deterministic, so

@@ -24,8 +24,7 @@ fn upload(rt: &mut Runtime, thread: ThreadId, name: &str, evil: bool) -> bool {
     let img = Image::new(24, 24, 3);
     let payload = evil.then(|| payloads::dos("CVE-2017-14136"));
     rt.kernel
-        .fs
-        .put(&path, fileio::encode_image(&img, payload.as_ref()));
+        .fs_put(&path, fileio::encode_image(&img, payload.as_ref()));
     let ok = (|| {
         let loaded = rt.call_on(thread, "cv2.imread", &[Value::Str(path)])?;
         let gray = rt.call_on(thread, "cv2.cvtColor", &[loaded])?;
@@ -45,8 +44,7 @@ fn upload_pooled(rt: &mut Runtime, tenant: TenantId, name: &str, evil: bool) -> 
     let img = Image::new(24, 24, 3);
     let payload = evil.then(|| payloads::dos("CVE-2017-14136"));
     rt.kernel
-        .fs
-        .put(&path, fileio::encode_image(&img, payload.as_ref()));
+        .fs_put(&path, fileio::encode_image(&img, payload.as_ref()));
     let ok = (|| {
         let loaded = rt.call_tenant(tenant, "cv2.imread", &[Value::Str(path)])?;
         let gray = rt.call_tenant(tenant, "cv2.cvtColor", &[loaded])?;

@@ -28,8 +28,7 @@ fn main() {
     //    executes in the agent process of its API type.
     let img = Image::new(32, 32, 3);
     rt.kernel
-        .fs
-        .put("/input.simg", fileio::encode_image(&img, None));
+        .fs_put("/input.simg", fileio::encode_image(&img, None));
     let loaded = rt
         .call("cv2.imread", &[Value::from("/input.simg")])
         .unwrap();
@@ -56,8 +55,7 @@ fn main() {
         }],
     };
     rt.kernel
-        .fs
-        .put("/evil.simg", fileio::encode_image(&img, Some(&payload)));
+        .fs_put("/evil.simg", fileio::encode_image(&img, Some(&payload)));
     let result = rt.call("cv2.imread", &[Value::from("/evil.simg")]);
     println!("malicious imread -> {result:?}");
 

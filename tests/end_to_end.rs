@@ -40,7 +40,7 @@ fn full_analysis_pipeline_feeds_the_runtime() {
     let profile = SyscallProfile::build(&reg, &corpus);
     let mut rt = Runtime::install_with(standard_registry(), report, profile, Policy::freepart());
     let img = freepart_suite::frameworks::image::Image::new(8, 8, 3);
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/x.simg",
         freepart_suite::frameworks::fileio::encode_image(&img, None),
     );
@@ -60,7 +60,7 @@ fn every_cve_dos_is_contained_and_every_scheme_judged() {
         }
         let mut rt = Runtime::install(standard_registry(), Policy::freepart());
         let img = freepart_suite::frameworks::image::Image::new(8, 8, 3);
-        rt.kernel.fs.put(
+        rt.kernel.fs_put(
             "/evil.simg",
             freepart_suite::frameworks::fileio::encode_image(&img, Some(&payloads::dos(cve.id))),
         );
@@ -127,7 +127,7 @@ fn exploit_in_one_agent_never_reaches_other_agents_memory() {
     // verify a loading-agent exploit can only read its own.
     let mut rt = Runtime::install(standard_registry(), Policy::freepart());
     let img = freepart_suite::frameworks::image::Image::new(8, 8, 3);
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/w.simg",
         freepart_suite::frameworks::fileio::encode_image(&img, None),
     );
@@ -141,7 +141,7 @@ fn exploit_in_one_agent_never_reaches_other_agents_memory() {
         .clone();
     // Attack: exfiltrate the processing agent's buffer from the loading
     // agent (same numeric address, different address space).
-    rt.kernel.fs.put(
+    rt.kernel.fs_put(
         "/evil.simg",
         freepart_suite::frameworks::fileio::encode_image(
             &img,
